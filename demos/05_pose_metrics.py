@@ -31,8 +31,8 @@ candidates = {
 }
 
 intr = sk.CameraIntrinsics(fx=540.0, fy=540.0, cx=320.0, cy=240.0)
-print(f"shape symmetries: {len(sk.expand_symmetries(group))} rotations "
-      f"(continuous z axis discretized)\n")
+print(f"shape symmetries: {len(group.rotations)} rotations "
+      f"(revolution about z discretized at 10 deg)\n")
 print(f"{'estimate':14s} {'MSSD [mm]':>10s} {'MSPD [px]':>10s}")
 errors = []
 for label, est in candidates.items():

@@ -49,7 +49,6 @@ from .metrics import (
     CameraIntrinsics,
     PoseHypothesis,
     accuracy_curve,
-    hausdorff_distance,
     mspd,
     mssd,
     project,
@@ -97,7 +96,6 @@ __all__ = [
     "farthest_point_sample",
     "fit",
     "gen_synthetic",
-    "hausdorff_distance",
     "identity_group",
     "initial_guesses",
     "inside_outside",

@@ -169,7 +169,7 @@ def compose_affine(rotation, scale, shear, translation):
     symmetric matrix carrying `scale` on the diagonal and `shear` off it.
     """
     R = np.asarray(rotation, dtype=float)
-    if not is_rotation_matrix(R):
+    if R.shape != (3, 3) or not is_rotation_matrix(R):
         raise ValueError("rotation must be a proper orthonormal 3x3 matrix")
     scale = np.asarray(scale, dtype=float)
     shear = np.asarray(shear, dtype=float)

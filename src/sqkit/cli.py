@@ -8,9 +8,7 @@ import argparse
 import json
 import sys
 
-import numpy as np
-
-from .canonical import canonicalize, decompose_scale_shear
+from .canonical import canonicalize, compose_affine, decompose_scale_shear
 from .core import farthest_point_sample, sample_surface
 from .fileio import (
     GenConfig,
@@ -24,7 +22,13 @@ from .fileio import (
 )
 from .fitting import FitConfig, fit
 from .metrics import CameraIntrinsics, PoseHypothesis, accuracy_curve, mspd, mssd
-from .shapespace import categorize, default_grid, symmetry_group, template_points
+from .shapespace import (
+    DENSE_SAMPLE_SIZE,
+    categorize,
+    default_grid,
+    symmetry_group,
+    template_points,
+)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -97,16 +101,34 @@ def _nonnegative_float(text):
     return value
 
 
+def _template_size(text):
+    value = _positive_int(text)
+    if value > DENSE_SAMPLE_SIZE:
+        raise argparse.ArgumentTypeError(
+            f"must be <= {DENSE_SAMPLE_SIZE}, the template's dense sample size")
+    return value
+
+
 def _pose_from_record(record):
     sq = record.to_superquadric()
-    rotation = sq.rotation_matrix
-    shear = record.shear or (0.0, 0.0, 0.0)
-    sym = np.array([
-        [record.scale[0], shear[0], shear[1]],
-        [shear[0], record.scale[1], shear[2]],
-        [shear[1], shear[2], record.scale[2]],
-    ])
-    return PoseHypothesis(matrix=rotation @ sym, translation=np.array(record.translation))
+    return PoseHypothesis(*compose_affine(sq.rotation_matrix, record.scale,
+                                          record.shear or (0.0, 0.0, 0.0),
+                                          record.translation))
+
+
+def _load_intrinsics(path):
+    raw = json.loads(_read(path).decode("utf-8", errors="replace"))
+    try:
+        values = [raw[name] for name in ("fx", "fy", "cx", "cy")]
+    except (KeyError, TypeError):
+        raise ParseError(f"{path}: expected fx, fy, cx, cy") from None
+    # bool is an int subclass, but JSON true/false are not numbers
+    if not all(type(v) in (int, float) for v in values):
+        raise ParseError(f"{path}: fx, fy, cx, cy must be numbers")
+    try:
+        return CameraIntrinsics(*values)
+    except (ValueError, OverflowError) as exc:
+        raise ParseError(f"{path}: {exc}") from None
 
 
 def _cmd_fit(args):
@@ -177,12 +199,7 @@ def _cmd_eval(args):
         "mssd_m": mssd(pose_est, pose_gt, template, group),
     }
     if args.intrinsics is not None:
-        raw = json.loads(_read(args.intrinsics))
-        try:
-            intrinsics = CameraIntrinsics(fx=raw["fx"], fy=raw["fy"],
-                                          cx=raw["cx"], cy=raw["cy"])
-        except (KeyError, TypeError):
-            raise ParseError(f"{args.intrinsics}: expected fx, fy, cx, cy") from None
+        intrinsics = _load_intrinsics(args.intrinsics)
         report["mspd_px"] = mspd(pose_est, pose_gt, template, group, intrinsics)
     if args.thresholds is not None:
         report["thresholds"] = args.thresholds
@@ -243,7 +260,7 @@ def build_parser():
     p = sub.add_parser("eval", help="symmetry-aware pose errors between records")
     p.add_argument("--gt", required=True)
     p.add_argument("--est", required=True)
-    p.add_argument("--points", type=_positive_int, default=512)
+    p.add_argument("--points", type=_template_size, default=512)
     p.add_argument("--intrinsics", default=None, help="JSON file with fx, fy, cx, cy")
     p.add_argument("--thresholds", type=_thresholds, default=None,
                    help="comma-separated ascending error thresholds")

@@ -98,9 +98,18 @@ class Superquadric:
 
 
 def _apply_linear(M, pts):
-    # Explicit ufunc formulation (not matmul) keeps the arithmetic order
-    # identical to a scalar reference implementation.
-    return (pts[:, 0:1] * M[:, 0] + pts[:, 1:2] * M[:, 1] + pts[:, 2:3] * M[:, 2])
+    """M @ p for every point p of pts, as (x*c0 + y*c1) + z*c2 over M's columns.
+
+    Explicit ufunc formulation (not matmul) keeps the arithmetic order
+    identical to a scalar reference implementation. Either argument may carry
+    leading stack axes: an (m, 3, 3) stack of matrices applied to (n, 3)
+    points gives (m, n, 3), and so does one 3x3 matrix applied to (m, n, 3)
+    points.
+    """
+    out = pts[..., 0:1] * M[..., None, :, 0]
+    out += pts[..., 1:2] * M[..., None, :, 1]
+    out += pts[..., 2:3] * M[..., None, :, 2]
+    return out
 
 
 def _signed_pow(base, exponent):

@@ -232,10 +232,14 @@ def parse_params(data, strict=False):
                 raise ParseError(f"missing field {name!r}")
             return None
         val = payload[name]
+        # bool is an int subclass, but JSON true/false are not numbers
         if (not isinstance(val, (list, tuple)) or len(val) != size
-                or not all(isinstance(v, (int, float)) for v in val)):
+                or not all(type(v) in (int, float) for v in val)):
             raise ParseError(f"field {name!r} must be a {size}-vector of numbers")
-        return tuple(float(v) for v in val)
+        try:
+            return tuple(float(v) for v in val)
+        except OverflowError:
+            raise ParseError(f"field {name!r} holds a number beyond float range") from None
 
     eps = vector("eps", 2)
     scale = vector("scale", 3)
@@ -257,7 +261,7 @@ def parse_params(data, strict=False):
         rotation = quat_normalize(rotation)
     shear = vector("shear", 3, required=False)
     category_id = payload.get("category_id")
-    if category_id is not None and not isinstance(category_id, int):
+    if category_id is not None and type(category_id) is not int:
         raise ParseError("category_id must be an integer")
     record = ParamsRecord(
         eps=eps, scale=scale, rotation=tuple(float(v) for v in rotation),

@@ -10,10 +10,11 @@ pinhole projection.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
-from .core import as_points
+from .core import _apply_linear, as_points
 from .shapespace import expand_symmetries
+
+_BLOCK_POINTS = 4096
 
 
 @dataclass(frozen=True, eq=False)
@@ -38,10 +39,7 @@ class PoseHypothesis:
         object.__setattr__(self, "translation", t)
 
     def apply(self, points):
-        pts = as_points(points)
-        M = self.matrix
-        return (pts[:, 0:1] * M[:, 0] + pts[:, 1:2] * M[:, 1]
-                + pts[:, 2:3] * M[:, 2]) + self.translation
+        return _apply_linear(self.matrix, as_points(points)) + self.translation
 
 
 @dataclass(frozen=True)
@@ -86,10 +84,18 @@ def project(intrinsics, points):
     return uv[0] if single else uv
 
 
-def _rotated_templates(template, group):
-    for S in expand_symmetries(group):
-        yield (template[:, 0:1] * S[:, 0] + template[:, 1:2] * S[:, 1]
-               + template[:, 2:3] * S[:, 2])
+def _symmetric_gt(gt, template, group):
+    """Yield (k, n, 3) blocks of world points gt(S x), k symmetries S at a time.
+
+    One broadcast per block of at most _BLOCK_POINTS points keeps the
+    temporaries near 100 KB each, however large the group.
+    """
+    rotations = expand_symmetries(group)
+    k = max(1, _BLOCK_POINTS // len(template))
+    for i in range(0, len(rotations), k):
+        pts = _apply_linear(gt.matrix, _apply_linear(rotations[i:i + k], template))
+        pts += gt.translation
+        yield pts
 
 
 def mssd(est, gt, template, group):
@@ -101,11 +107,12 @@ def mssd(est, gt, template, group):
     template = as_points(template)
     pts_est = est.apply(template)
     best = np.inf
-    for rotated in _rotated_templates(template, group):
-        d = pts_est - gt.apply(rotated)
-        dist = np.sqrt((d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1]) + d[:, 2] * d[:, 2])
-        best = min(best, float(dist.max()))
-    return best
+    for d in _symmetric_gt(gt, template, group):
+        np.subtract(pts_est, d, out=d)
+        d2 = (d[..., 0] * d[..., 0] + d[..., 1] * d[..., 1]) + d[..., 2] * d[..., 2]
+        best = min(best, d2.max(axis=1).min())
+    # sqrt is monotonic, so taking it after the max and min changes no bit.
+    return float(np.sqrt(best))
 
 
 def mspd(est, gt, template, group, intrinsics):
@@ -117,12 +124,11 @@ def mspd(est, gt, template, group, intrinsics):
     template = as_points(template)
     uv_est = project(intrinsics, est.apply(template))
     best = np.inf
-    for rotated in _rotated_templates(template, group):
-        uv_gt = project(intrinsics, gt.apply(rotated))
-        d = uv_est - uv_gt
-        dist = np.sqrt(d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1])
-        best = min(best, float(dist.max()))
-    return best
+    for pts in _symmetric_gt(gt, template, group):
+        d = uv_est - project(intrinsics, pts.reshape(-1, 3)).reshape(pts.shape[:2] + (2,))
+        d2 = d[..., 0] * d[..., 0] + d[..., 1] * d[..., 1]
+        best = min(best, d2.max(axis=1).min())
+    return float(np.sqrt(best))
 
 
 def accuracy_curve(errors, thresholds):
@@ -141,12 +147,3 @@ def accuracy_curve(errors, thresholds):
     sorted_errors = np.sort(errors)
     counts = np.searchsorted(sorted_errors, thr, side="right")
     return counts / errors.size
-
-
-def hausdorff_distance(points_a, points_b):
-    """Symmetric Hausdorff distance between two point sets, in meters."""
-    a = as_points(points_a)
-    b = as_points(points_b)
-    d_ab, _ = cKDTree(b).query(a)
-    d_ba, _ = cKDTree(a).query(b)
-    return max(float(np.max(d_ab)), float(np.max(d_ba)))

@@ -133,10 +133,10 @@ def random_quaternion(rng):
 
 
 def is_rotation_matrix(R, tol=1e-6):
-    """True if R is proper orthonormal within tol."""
+    """True if R, or every matrix of a stack of them, is proper orthonormal within tol."""
     R = np.asarray(R, dtype=float)
-    if R.shape != (3, 3) or not np.all(np.isfinite(R)):
+    if R.shape[-2:] != (3, 3) or not np.all(np.isfinite(R)):
         return False
-    if not np.allclose(R.T @ R, np.eye(3), atol=tol):
+    if not np.allclose(np.swapaxes(R, -1, -2) @ R, np.eye(3), atol=tol):
         return False
-    return abs(np.linalg.det(R) - 1.0) <= tol
+    return bool(np.all(np.abs(np.linalg.det(R) - 1.0) <= tol))

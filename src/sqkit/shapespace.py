@@ -5,7 +5,8 @@ categories. Each category owns an unscaled template cloud obtained by
 farthest-point-sampling a dense surface sample of the unit-scale shape.
 Symmetries are derived per instance: every superquadric is even in each
 coordinate, square cross-sections add a quarter turn about z, and circular
-cross-sections add a continuous z axis.
+cross-sections make z a revolution axis. Each group is stored as data: one
+(m, 3, 3) rotation stack built from the closed forms below.
 """
 
 from dataclasses import dataclass
@@ -13,20 +14,24 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import EPS_MIN, Superquadric, farthest_point_sample, sample_surface
-from .rotations import (
-    quat_angle_between,
-    quat_canonical,
-    quat_from_axis_angle,
-    quat_mul,
-    quat_to_matrix,
-)
+from .rotations import is_rotation_matrix, rotation_about_z
 
-_ANGLE_TOL = 1e-9
-# acos amplifies 1-ulp quaternion dot noise to ~3e-8 rad; distinct group
-# elements are never closer than the continuous step, so dedup can be looser.
-_DEDUP_TOL = 1e-7
+# Size of the dense surface sample a template is farthest-point-sampled from;
+# also the largest template size.
+DENSE_SAMPLE_SIZE = 8192
 
-DEFAULT_CONTINUOUS_STEPS = 36
+# The 180-degree flips about each local axis, identity first.
+_FLIPS = np.array([np.diag(d) for d in ((1, 1, 1), (1, -1, -1), (-1, 1, -1), (-1, -1, 1))],
+                  dtype=float)
+_QUARTER_TURN = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
+_ORDER8 = np.concatenate([_FLIPS, _FLIPS @ _QUARTER_TURN])
+# A revolution axis is discretized at this many spins; the order-8 group
+# already holds the quarter turns, so only the spins below 90 degrees compose.
+_REVOLUTION_STEPS = 36
+_REVOLUTION = np.concatenate([
+    rotation_about_z(2.0 * np.pi * k / _REVOLUTION_STEPS) @ _ORDER8
+    for k in range(_REVOLUTION_STEPS // 4)
+])
 
 
 @dataclass(frozen=True)
@@ -97,7 +102,7 @@ def categorize(eps1, eps2, grid):
     return int(np.argmin(d2.ravel()))
 
 
-def template_points(category, n=512, dense_n=8192, seed=0):
+def template_points(category, n=512, dense_n=DENSE_SAMPLE_SIZE, seed=0):
     """Unscaled template cloud for a category: dense sample + FPS downsample.
 
     Samples the unit-scale superquadric with the category's exponents (floored
@@ -125,82 +130,44 @@ class SymmetryGroup:
     """Rotations mapping a shape onto itself.
 
     Attributes:
-        discrete: (m, 4) unit quaternions, identity first, closed under
-            composition.
-        continuous_axes: tuple of (unit axis, discretization count) pairs for
-            revolution symmetries.
+        rotations: read-only (m, 3, 3) stack of proper rotation matrices;
+            the groups built here list the identity first.
     """
 
-    discrete: np.ndarray
-    continuous_axes: tuple = ()
+    rotations: np.ndarray
+
+    def __post_init__(self):
+        R = np.array(self.rotations, dtype=float)
+        if R.ndim != 3 or R.shape[0] == 0 or not is_rotation_matrix(R):
+            raise ValueError("rotations must be a nonempty (m, 3, 3) stack of finite "
+                             "proper rotation matrices")
+        R.setflags(write=False)
+        object.__setattr__(self, "rotations", R)
 
 
-def _close_under_composition(generators):
-    elements = [quat_canonical(np.array([1.0, 0.0, 0.0, 0.0]))]
-    frontier = list(elements)
-    gens = [quat_canonical(g) for g in generators]
-    while frontier:
-        nxt = []
-        for q in frontier:
-            for g in gens:
-                cand = quat_canonical(quat_mul(q, g))
-                if all(quat_angle_between(cand, e) > _ANGLE_TOL for e in elements):
-                    elements.append(cand)
-                    nxt.append(cand)
-        frontier = nxt
-        if len(elements) > 64:
-            raise RuntimeError("symmetry closure did not stabilize")
-    return np.array(elements)
-
-
-def symmetry_group(sq, rel_tol=1e-3, continuous_steps=DEFAULT_CONTINUOUS_STEPS):
+def symmetry_group(sq, rel_tol=1e-3):
     """Derive the symmetry group of a canonical superquadric instance.
 
     Every superquadric is symmetric under 180-degree flips about each local
-    axis. Equal radial scales add a quarter turn about z (order-8 group), and
-    a circular cross-section (eps2 near 1) upgrades z to a continuous axis
-    discretized at `continuous_steps` for metric evaluation.
+    axis (order 4). Equal radial scales add a quarter turn about z (order 8),
+    and a circular cross-section (eps2 near 1) makes z a revolution axis,
+    discretized at 10-degree spins for metric evaluation (72 elements).
     """
     if sq.eps2 > 1.0:
         raise ValueError("symmetry requires a canonical shape (eps2 <= 1)")
     ax, ay, _ = sq.scale
-    round_xy = abs(ax - ay) / max(ax, ay) <= rel_tol
-    generators = [
-        quat_from_axis_angle((1.0, 0.0, 0.0), np.pi),
-        quat_from_axis_angle((0.0, 1.0, 0.0), np.pi),
-        quat_from_axis_angle((0.0, 0.0, 1.0), np.pi),
-    ]
-    axes = ()
-    if round_xy:
-        generators.append(quat_from_axis_angle((0.0, 0.0, 1.0), np.pi / 2.0))
-        if abs(sq.eps2 - 1.0) <= rel_tol:
-            axes = ((np.array([0.0, 0.0, 1.0]), int(continuous_steps)),)
-    return SymmetryGroup(discrete=_close_under_composition(generators), continuous_axes=axes)
+    if abs(ax - ay) / max(ax, ay) > rel_tol:
+        return SymmetryGroup(_FLIPS)
+    if abs(sq.eps2 - 1.0) > rel_tol:
+        return SymmetryGroup(_ORDER8)
+    return SymmetryGroup(_REVOLUTION)
 
 
 def identity_group():
     """Group containing only the identity rotation."""
-    return SymmetryGroup(discrete=np.array([[1.0, 0.0, 0.0, 0.0]]))
+    return SymmetryGroup(np.eye(3)[None])
 
 
 def expand_symmetries(group):
-    """Finite list of 3x3 rotation matrices covering the group.
-
-    Continuous axes are expanded to their discretization count and composed
-    with every discrete element; duplicates are removed.
-    """
-    quats = [np.asarray(q, dtype=float) for q in group.discrete]
-    expanded = list(quats)
-    for axis, steps in group.continuous_axes:
-        if steps < 1:
-            raise ValueError("continuous discretization count must be >= 1")
-        for k in range(1, int(steps)):
-            spin = quat_from_axis_angle(axis, 2.0 * np.pi * k / int(steps))
-            for q in quats:
-                expanded.append(quat_mul(spin, q))
-    unique = []
-    for q in expanded:
-        qc = quat_canonical(q)
-        if all(quat_angle_between(qc, u) > _DEDUP_TOL for u in unique):
-            unique.append(qc)
-    return [quat_to_matrix(q) for q in unique]
+    """The group's (m, 3, 3) rotation stack, identity first."""
+    return group.rotations

@@ -181,6 +181,26 @@ class TestEval:
         assert main(["eval", "--gt", sphere_params, "--est", sphere_params,
                      "--intrinsics", str(intr)]) == 2
 
+    @pytest.mark.parametrize("fx", ["a", True, None, 0.0, -500.0, 10 ** 400],
+                             ids=["string", "bool", "null", "zero", "negative", "huge_int"])
+    def test_intrinsics_need_positive_numeric_focal_length(self, tmp_path, sphere_params, fx):
+        intr = tmp_path / "intr.json"
+        intr.write_text(json.dumps({"fx": fx, "fy": 500.0, "cx": 320.0, "cy": 240.0}))
+        assert main(["eval", "--gt", sphere_params, "--est", sphere_params,
+                     "--intrinsics", str(intr)]) == 2
+
+    def test_undecodable_intrinsics_exits_2(self, tmp_path, sphere_params):
+        intr = tmp_path / "intr.json"
+        intr.write_bytes(b"\xff\xfe{")
+        assert main(["eval", "--gt", sphere_params, "--est", sphere_params,
+                     "--intrinsics", str(intr)]) == 2
+
+    def test_points_above_dense_sample_is_usage_error(self, sphere_params, capsys):
+        too_many = str(sk.shapespace.DENSE_SAMPLE_SIZE + 1)
+        assert main(["eval", "--gt", sphere_params, "--est", sphere_params,
+                     "--points", too_many]) == 1
+        assert "--points" in capsys.readouterr().err
+
 
 class TestModuleEntry:
     def test_runs_as_module(self):

@@ -161,6 +161,20 @@ class TestParamsRecord:
         with pytest.raises(sk.ParseError):
             sk.parse_params("{not json")
 
+    @pytest.mark.parametrize("field, value", [("eps", [True, 0.5]), ("scale", [1, True, 1]),
+                                              ("category_id", True)])
+    def test_booleans_are_not_numbers(self, field, value):
+        payload = {"schema_version": 1, "eps": [0.5, 0.5], "scale": [1, 1, 1],
+                   "rotation": [1, 0, 0, 0], "translation": [0, 0, 0], field: value}
+        with pytest.raises(sk.ParseError):
+            sk.parse_params(json.dumps(payload))
+
+    def test_integer_beyond_float_range_rejected(self):
+        text = ('{"schema_version": 1, "eps": [0.5, 0.5], "scale": [1, 1, 1%s],'
+                ' "rotation": [1, 0, 0, 0], "translation": [0, 0, 0]}' % ("0" * 400))
+        with pytest.raises(sk.ParseError):
+            sk.parse_params(text)
+
 
 class TestGenSynthetic:
     def test_noiseless_full_view_on_surface(self):

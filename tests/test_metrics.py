@@ -106,6 +106,19 @@ class TestMssd:
             est = _pose(M_est, rng.normal(size=3))
             assert sk.mssd(est, gt, tpl, group) == mssd_oracle(est, gt, tpl, rotations)
 
+    def test_matches_oracle_across_symmetry_blocks(self):
+        # 72 symmetries x 100 points is scored in several broadcast blocks
+        rng = np.random.default_rng(8)
+        group = sk.symmetry_group(sk.Superquadric(0.3, 1.0, np.array([0.05, 0.05, 0.12])))
+        tpl = _template(100, seed=4)
+        assert len(group.rotations) * len(tpl) > sk.metrics._BLOCK_POINTS
+        for _ in range(3):
+            M_gt = quat_to_matrix(random_quaternion(rng)) @ np.diag(rng.uniform(0.5, 2.0, 3))
+            M_est = quat_to_matrix(random_quaternion(rng)) @ np.diag(rng.uniform(0.5, 2.0, 3))
+            gt = _pose(M_gt, rng.normal(size=3))
+            est = _pose(M_est, rng.normal(size=3))
+            assert sk.mssd(est, gt, tpl, group) == mssd_oracle(est, gt, tpl, group.rotations)
+
     def test_empty_template_rejected(self):
         with pytest.raises(ValueError):
             sk.mssd(_pose(), _pose(), np.zeros((0, 3)), sk.identity_group())
@@ -169,13 +182,3 @@ class TestAccuracyCurve:
         with pytest.raises(ValueError):
             sk.accuracy_curve([1.0], [2.0, 1.0])
 
-
-class TestHausdorff:
-    def test_identical_sets(self):
-        pts = np.random.default_rng(0).normal(size=(50, 3))
-        assert sk.hausdorff_distance(pts, pts) == 0.0
-
-    def test_known_offset(self):
-        a = np.zeros((1, 3))
-        b = np.array([[3.0, 4.0, 0.0]])
-        assert sk.hausdorff_distance(a, b) == 5.0

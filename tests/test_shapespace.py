@@ -5,7 +5,7 @@ import numpy.testing as npt
 import pytest
 
 import sqkit as sk
-from sqkit.rotations import quat_angle_between, quat_canonical, quat_mul
+from sqkit.rotations import rotation_about_z
 
 
 class TestShapeGrid:
@@ -96,52 +96,64 @@ class TestTemplatePoints:
             sk.template_points(sk.ShapeCategory(0, 0.5, 0.5), n=100, dense_n=50)
 
 
-def _group_quats(group):
-    return [np.asarray(q) for q in group.discrete]
+def _pairwise_gaps(a, b):
+    """Largest entry difference between every matrix of stack a and of stack b."""
+    return np.abs(a[:, None] - b[None, :]).max(axis=(2, 3))
 
 
 class TestSymmetryGroup:
     def test_generic_shape_gets_flip_group(self):
         sq = sk.Superquadric(0.3, 0.7, np.array([1.0, 2.0, 3.0]))
         group = sk.symmetry_group(sq)
-        assert len(group.discrete) == 4
-        assert group.continuous_axes == ()
+        assert group.rotations.shape == (4, 3, 3)
 
     def test_equal_radial_scales_add_quarter_turn(self):
         sq = sk.Superquadric(0.5, 0.2, np.array([1.0, 1.0, 3.0]))
         group = sk.symmetry_group(sq)
-        assert len(group.discrete) == 8
-        assert group.continuous_axes == ()
+        assert group.rotations.shape == (8, 3, 3)
+        assert _pairwise_gaps(group.rotations, rotation_about_z(np.pi / 2)[None]).min() <= 1e-12
 
     def test_circular_cross_section_gets_continuous_axis(self):
         sq = sk.Superquadric(0.5, 1.0, np.array([1.0, 1.0, 3.0]))
         group = sk.symmetry_group(sq)
-        assert len(group.discrete) == 8
-        assert len(group.continuous_axes) == 1
-        axis, steps = group.continuous_axes[0]
-        npt.assert_array_equal(axis, [0.0, 0.0, 1.0])
-        assert steps == 36
+        assert group.rotations.shape == (72, 3, 3)
+        # every 10-degree spin about z is present
+        spins = np.array([rotation_about_z(2.0 * np.pi * k / 36) for k in range(36)])
+        assert _pairwise_gaps(spins, group.rotations).min(axis=1).max() <= 1e-12
 
     def test_identity_always_present(self):
-        sq = sk.Superquadric(0.3, 0.7, np.array([1.0, 2.0, 3.0]))
-        quats = _group_quats(sk.symmetry_group(sq))
-        assert any(quat_angle_between(q, np.array([1.0, 0, 0, 0])) <= 1e-9 for q in quats)
+        for scale, eps2 in (([1.0, 2.0, 3.0], 0.7), ([1.0, 1.0, 3.0], 0.7),
+                            ([1.0, 1.0, 3.0], 1.0)):
+            group = sk.symmetry_group(sk.Superquadric(0.3, eps2, np.array(scale)))
+            npt.assert_array_equal(group.rotations[0], np.eye(3))
 
     def test_closed_under_composition(self):
-        for scale in ([1.0, 2.0, 3.0], [1.0, 1.0, 3.0]):
-            group = sk.symmetry_group(sk.Superquadric(0.4, 0.6, np.array(scale)))
-            quats = _group_quats(group)
-            for a in quats:
-                for b in quats:
-                    c = quat_canonical(quat_mul(a, b))
-                    assert min(quat_angle_between(c, q) for q in quats) <= 1e-9
+        for scale, eps2 in (([1.0, 2.0, 3.0], 0.6), ([1.0, 1.0, 3.0], 0.6),
+                            ([1.0, 1.0, 3.0], 1.0)):
+            R = sk.symmetry_group(sk.Superquadric(0.4, eps2, np.array(scale))).rotations
+            products = (R[:, None] @ R[None, :]).reshape(-1, 3, 3)
+            assert _pairwise_gaps(products, R).min(axis=1).max() <= 1e-9
 
     def test_no_duplicates(self):
-        group = sk.symmetry_group(sk.Superquadric(0.4, 0.6, np.array([1.0, 1.0, 2.0])))
-        quats = _group_quats(group)
-        for i, a in enumerate(quats):
-            for b in quats[i + 1:]:
-                assert quat_angle_between(a, b) > 1e-9
+        for eps2 in (0.6, 1.0):
+            R = sk.symmetry_group(sk.Superquadric(0.4, eps2, np.array([1.0, 1.0, 2.0]))).rotations
+            gaps = _pairwise_gaps(R, R) + np.eye(len(R))
+            assert gaps.min() > 1e-9
+
+    def test_rotations_are_read_only(self):
+        group = sk.symmetry_group(sk.Superquadric(0.4, 0.6, np.array([1.0, 2.0, 3.0])))
+        with pytest.raises(ValueError):
+            group.rotations[0, 0, 0] = 2.0
+
+    def test_rejects_malformed_stack(self):
+        flip = np.diag([1.0, -1.0, -1.0])
+        for bad in (np.zeros((0, 3, 3)), np.eye(3), np.zeros((2, 3, 2)),
+                    np.array([np.eye(3), np.full((3, 3), np.nan)]),
+                    np.array([np.eye(3), -np.eye(3)]),  # improper
+                    np.array([np.eye(3), 2.0 * flip])):  # not orthonormal
+            with pytest.raises(ValueError):
+                sk.SymmetryGroup(bad)
+        assert sk.SymmetryGroup(np.array([np.eye(3), flip])).rotations.shape == (2, 3, 3)
 
     def test_symmetries_preserve_surface(self):
         rng = np.random.default_rng(3)
