@@ -37,10 +37,10 @@ for label, cfg in configs:
     print(f"  worst scale error = {scale_err * 100:.2f}%")
 
 # The optimizer runs several deterministic starts; the diagnostics show what
-# each start achieved before the best one was selected.
+# each start achieved, and why it stopped, before the best one was selected.
 cloud = sk.gen_synthetic(true, configs[0][1])
 result = sk.fit(cloud)
-print("\nper-start diagnostics (rms, iterations, converged):")
+print("\nper-start diagnostics (rms, iterations, stop reason):")
 for d in result.start_diagnostics:
     print(f"  start eps=({d.initial.eps1:.1f},{d.initial.eps2:.1f}) -> "
-          f"rms={d.rms_residual:.2e}, iters={d.iterations}, conv={d.converged}")
+          f"rms={d.rms_residual:.2e}, iters={d.iterations}, stop={d.stop_reason}")

@@ -43,7 +43,6 @@ from .fitting import (
     UnderDeterminedError,
     fit,
     initial_guesses,
-    residual,
 )
 from .metrics import (
     CameraIntrinsics,
@@ -106,7 +105,6 @@ __all__ = [
     "project",
     "radial_distance",
     "record_from_superquadric",
-    "residual",
     "sample_surface",
     "surface_hausdorff",
     "symmetry_group",

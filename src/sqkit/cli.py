@@ -1,7 +1,8 @@
 """Command-line interface: fit, sample, canon, eval, gen, grid.
 
 Exit codes: 0 success, 1 usage error, 2 parse/format error, 3 numerical
-failure (non-convergence, degenerate input). Diagnostics go to stderr.
+failure (non-convergence, degenerate input, a cloud beyond the float32 range
+of PLY coordinates). Diagnostics go to stderr.
 """
 
 import argparse

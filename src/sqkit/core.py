@@ -136,18 +136,79 @@ def inside_outside(sq, points):
     return float(f[0]) if single else f
 
 
-def _log_inside_outside(eps1, eps2, scale, pts):
-    """log F, evaluated stably for points far from the surface.
+def _softmax_pair(la, lb, lsum):
+    """Weights exp(la - lsum), exp(lb - lsum) of a logaddexp, and their entropy.
 
-    Returns -inf only at the exact origin.
+    A term at -inf gets weight 0 and adds 0 to the entropy (0 log 0 = 0);
+    both weights are 0 where lsum itself is -inf.
+    """
+    with np.errstate(invalid="ignore"):
+        ta = la - lsum
+        tb = lb - lsum
+        wa = np.exp(ta)
+        wb = np.exp(tb)
+        entropy = -(np.where(wa > 0.0, wa * ta, 0.0) + np.where(wb > 0.0, wb * tb, 0.0))
+    return np.where(wa > 0.0, wa, 0.0), np.where(wb > 0.0, wb, 0.0), entropy
+
+
+def _radial_residual(eps1, eps2, scale, local, jacobian=False):
+    """Radial residual r * |1 - F^(-eps1/2)| of (n, 3) local-frame points.
+
+    F is evaluated in log form, log F = logaddexp((eps2/eps1) * logaddexp(lx,
+    ly), lz) with lx = (2/eps2) log(|x|/ax) and so on, which stays finite far
+    from the surface and is -inf only at the center, whose residual is
+    reported as min(scale).
+
+    With `jacobian`, also returns the closed-form derivatives of each
+    residual: an (n, 5) array with respect to (eps1, eps2, ax, ay, az) and an
+    (n, 3) array with respect to the local coordinates. They follow the chain
+    rule through both logaddexps, whose partial derivatives are softmax
+    weights. A coordinate at 0 has weight 0 and its term drops out (the
+    derivative for eps < 2, a subgradient at eps = 2). Rows at the center and
+    on the surface itself (the kink of |1 - F^(-eps1/2)|) are 0.
     """
     ax, ay, az = scale
+    x, y, z = local[:, 0], local[:, 1], local[:, 2]
     with np.errstate(divide="ignore"):
-        lx = (2.0 / eps2) * np.log(np.abs(pts[:, 0]) / ax)
-        ly = (2.0 / eps2) * np.log(np.abs(pts[:, 1]) / ay)
-        lz = (2.0 / eps1) * np.log(np.abs(pts[:, 2]) / az)
-    lplane = (eps2 / eps1) * np.logaddexp(lx, ly)
-    return np.logaddexp(lplane, lz)
+        lx = (2.0 / eps2) * np.log(np.abs(x) / ax)
+        ly = (2.0 / eps2) * np.log(np.abs(y) / ay)
+        lz = (2.0 / eps1) * np.log(np.abs(z) / az)
+    lxy = np.logaddexp(lx, ly)
+    lplane = (eps2 / eps1) * lxy
+    logf = np.logaddexp(lplane, lz)
+    r = np.sqrt((x * x + y * y) + z * z)
+    center = r == 0.0
+    with np.errstate(invalid="ignore", over="ignore"):
+        e = np.exp(-0.5 * eps1 * logf)
+        gap = 1.0 - e
+        res = r * np.abs(gap)
+    res = np.where(center, min(ax, ay, az), res)
+    if not jacobian:
+        return res
+
+    wx, wy, h_xy = _softmax_pair(lx, ly, lxy)
+    u, v, h_f = _softmax_pair(lplane, lz, logf)
+    with np.errstate(invalid="ignore", over="ignore"):
+        # d res = |gap| dr + 0.5 c d(eps1 log F) with c = r sign(gap) E, and
+        # eps1 log F moves with eps1 by the entropy h_f of (u, v), with eps2
+        # by u h_xy, with log|x| by 2 u wx (likewise y) and log|z| by 2 v.
+        c = r * np.sign(gap) * e
+        cux = c * u * wx
+        cuy = c * u * wy
+        cv = c * v
+        d_shape = np.stack([
+            0.5 * c * h_f,
+            0.5 * c * u * h_xy,
+            -cux / ax,
+            -cuy / ay,
+            -cv / az,
+        ], axis=1)
+        d_local = np.abs(gap)[:, None] * local / r[:, None]
+        for j, (cw, coord) in enumerate(((cux, x), (cuy, y), (cv, z))):
+            d_local[:, j] += np.divide(cw, coord, out=np.zeros_like(cw), where=coord != 0.0)
+    d_shape[center] = 0.0
+    d_local[center] = 0.0
+    return res, d_shape, d_local
 
 
 def radial_distance(sq, points):
@@ -159,12 +220,7 @@ def radial_distance(sq, points):
     reported at min(scale).
     """
     pts = sq.world_to_local(as_points(points))
-    r = np.linalg.norm(pts, axis=1)
-    logf = _log_inside_outside(sq.eps1, sq.eps2, sq.scale, pts)
-    with np.errstate(invalid="ignore", over="ignore"):
-        dist = r * np.abs(1.0 - np.exp(-0.5 * sq.eps1 * logf))
-    dist = np.where(r == 0.0, float(np.min(sq.scale)), dist)
-    return dist
+    return _radial_residual(sq.eps1, sq.eps2, sq.scale, pts)
 
 
 def sample_surface(sq, n, seed=0):
@@ -221,14 +277,27 @@ def farthest_point_sample(points, k, start=0):
         raise ValueError(f"start index {start} out of range for {n} points")
     chosen = np.empty(k, dtype=np.intp)
     chosen[0] = start
-    diff = pts - pts[start]
-    d2 = (diff[:, 0] * diff[:, 0] + diff[:, 1] * diff[:, 1]) + diff[:, 2] * diff[:, 2]
+    # Contiguous columns and preallocated buffers; each distance is summed as
+    # (dx*dx + dy*dy) + dz*dz, the order of a scalar loop, so ties resolve
+    # identically.
+    x, y, z = (np.ascontiguousarray(pts[:, j]) for j in range(3))
+    tmp = np.empty(n)
+
+    def sq_dist(i, out):
+        np.subtract(x, x[i], out=out)
+        np.multiply(out, out, out=out)
+        for col in (y, z):
+            np.subtract(col, col[i], out=tmp)
+            np.multiply(tmp, tmp, out=tmp)
+            np.add(out, tmp, out=out)
+        return out
+
+    d2 = sq_dist(start, np.empty(n))
+    cand = np.empty(n)
     for m in range(1, k):
         nxt = int(np.argmax(d2))
         chosen[m] = nxt
-        diff = pts - pts[nxt]
-        cand = (diff[:, 0] * diff[:, 0] + diff[:, 1] * diff[:, 1]) + diff[:, 2] * diff[:, 2]
-        d2 = np.minimum(d2, cand)
+        np.minimum(d2, sq_dist(nxt, cand), out=d2)
     return chosen
 
 

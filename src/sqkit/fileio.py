@@ -39,8 +39,15 @@ def _fmt_float32(value):
 
 
 def write_ply(points):
-    """Serialize a nonempty cloud as deterministic ASCII PLY bytes."""
+    """Serialize a nonempty cloud as deterministic ASCII PLY bytes.
+
+    Raises ValueError for a coordinate that overflows float32, the declared
+    property type, since it would be written as inf.
+    """
     pts = as_points(points)
+    with np.errstate(over="ignore"):
+        if not np.all(np.isfinite(pts.astype(np.float32))):
+            raise ValueError("coordinate beyond float32 range, the PLY property type")
     lines = [
         "ply",
         "format ascii 1.0",

@@ -4,17 +4,20 @@ The fitter minimizes the sum of squared radial surface distances over the 11
 parameters (two exponents, three scales, rotation, translation). Rotation is
 optimized through a local 3-vector increment folded back onto a reference
 quaternion after every accepted step, so the quaternion stays normalized and
-the chart stays centered. Damped (Levenberg-Marquardt) steps are accepted
-only when they reduce the objective, exponents and scales are projected onto
-their bounds at step time, and several deterministic starts guard against
-local minima; the lowest-residual start wins, ties broken by start index.
+the chart stays centered. The Jacobian is analytic: the closed-form
+derivatives of `core`'s radial-residual kernel, mapped onto the rotation
+increment and the translation. Damped (Levenberg-Marquardt) steps are
+accepted only when they reduce the objective, exponents and scales are
+projected onto their bounds at step time, and several deterministic starts
+guard against local minima; the lowest-residual start wins, ties broken by
+start index. Each start records why it stopped.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import EPS_MIN, EPS_MAX, Superquadric, as_points, radial_distance
+from .core import EPS_MIN, EPS_MAX, Superquadric, _apply_linear, _radial_residual, as_points
 from .rotations import matrix_to_quat, quat_from_rotvec, quat_mul, quat_normalize, quat_to_matrix
 
 
@@ -27,15 +30,12 @@ class UnderDeterminedError(ValueError):
 
 
 _N_PARAMS = 11
-# Characteristic magnitudes used for finite-difference steps: exponents,
-# scales/translations in meters, rotation increments in radians.
-_STEP_SCALE_FLOOR = np.array([0.1, 0.1, 0.01, 0.01, 0.01, 1.0, 1.0, 1.0, 0.01, 0.01, 0.01])
-_FD_REL_STEP = 1e-6
 # Moment eigenvalues closer than this (relative to the largest) leave their
 # eigenbasis arbitrary within the shared subspace.
 _DEGENERATE_TOL = 0.01
-# Residuals this small relative to the largest axis are at the accuracy limit
-# of the finite-difference Jacobian; grinding further buys nothing.
+# Residuals this small relative to the largest axis are at the resolution of
+# the float32 coordinates a PLY cloud stores (about 6e-8 relative); grinding
+# further buys nothing.
 _RMS_FLOOR_REL = 1e-7
 
 
@@ -77,12 +77,23 @@ class FitConfig:
 
 @dataclass(frozen=True, eq=False)
 class StartDiagnostic:
-    """Per-start record: where it began and where it ended."""
+    """Per-start record: where it began, where it ended, and why it stopped.
+
+    stop_reason is one of:
+        "rel_drop": an accepted step cut the objective by at most
+            convergence_tol, relative;
+        "rms_floor": the RMS residual reached _RMS_FLOOR_REL * max(scale);
+        "no_descent": no damping gave a step that lowers the objective;
+        "budget": max_iterations accepted steps were taken without any of
+            the above.
+    converged is False only for "budget".
+    """
 
     initial: Superquadric
     rms_residual: float
     iterations: int
     converged: bool
+    stop_reason: str
     objective_history: tuple
 
 
@@ -101,36 +112,26 @@ class FitResult:
     start_diagnostics: tuple = field(repr=False, default=())
 
 
-def residual(sq, point):
-    """Radial distance in meters from one world point to the surface.
+def _residuals(x, q_ref, pts, jacobian=False):
+    """Radial residuals of pts at parameter vector x, and optionally their Jacobian.
 
-    Zero iff the point lies on the surface; equals the exact Euclidean
-    distance for spheres. A point at the center is reported at min(scale).
+    x is (eps1, eps2, ax, ay, az, rotation increment, translation); the pose
+    is q_ref composed with the increment. With `jacobian`, returns
+    (residuals, (n, 11) Jacobian) from the kernel's closed-form derivatives.
+    The rotation columns hold the derivative at a zero increment, where
+    d local / d theta_k = local x e_k, so they are g x local for the kernel's
+    local-coordinate gradient g; the translation columns are -R g.
     """
-    return float(radial_distance(sq, point)[0])
-
-
-def _batch_residuals(thetas, q_ref, pts):
-    """Residual vectors for a batch of parameter vectors; returns (b, n)."""
-    thetas = np.atleast_2d(thetas)
-    b = thetas.shape[0]
-    rot = np.empty((b, 3, 3))
-    for i in range(b):
-        rot[i] = quat_to_matrix(quat_mul(q_ref, quat_from_rotvec(thetas[i, 5:8])))
-    diff = pts[None, :, :] - thetas[:, None, 8:11]
-    local = np.einsum("bji,bnj->bni", rot, diff)
-    eps1 = thetas[:, 0:1]
-    eps2 = thetas[:, 1:2]
-    ax, ay, az = thetas[:, 2:3], thetas[:, 3:4], thetas[:, 4:5]
-    with np.errstate(divide="ignore"):
-        lx = (2.0 / eps2) * np.log(np.abs(local[:, :, 0]) / ax)
-        ly = (2.0 / eps2) * np.log(np.abs(local[:, :, 1]) / ay)
-        lz = (2.0 / eps1) * np.log(np.abs(local[:, :, 2]) / az)
-    logf = np.logaddexp((eps2 / eps1) * np.logaddexp(lx, ly), lz)
-    r = np.sqrt(local[:, :, 0] ** 2 + local[:, :, 1] ** 2 + local[:, :, 2] ** 2)
-    with np.errstate(invalid="ignore", over="ignore"):
-        res = r * np.abs(1.0 - np.exp(-0.5 * eps1 * logf))
-    return np.where(r == 0.0, np.minimum(np.minimum(ax, ay), az), res)
+    rot = quat_to_matrix(quat_mul(q_ref, quat_from_rotvec(x[5:8])))
+    local = _apply_linear(rot.T, pts - x[8:11])
+    if not jacobian:
+        return _radial_residual(x[0], x[1], x[2:5], local)
+    res, d_shape, grad_local = _radial_residual(x[0], x[1], x[2:5], local, jacobian=True)
+    jac = np.empty((res.shape[0], _N_PARAMS))
+    jac[:, 0:5] = d_shape
+    jac[:, 5:8] = np.cross(grad_local, local)
+    jac[:, 8:11] = -_apply_linear(rot, grad_local)
+    return res, jac
 
 
 def _objective(res, huber_scale):
@@ -170,27 +171,18 @@ def _unpack(x, q_ref, config):
     )
 
 
-def _jacobian(x, q_ref, pts):
-    steps = _FD_REL_STEP * np.maximum(np.abs(x), _STEP_SCALE_FLOOR)
-    probes = np.repeat(x[None, :], 2 * _N_PARAMS, axis=0)
-    for i in range(_N_PARAMS):
-        probes[2 * i, i] += steps[i]
-        probes[2 * i + 1, i] -= steps[i]
-    res = _batch_residuals(probes, q_ref, pts)
-    return (res[0::2] - res[1::2]).T / (2.0 * steps)
-
-
 def _optimize_start(pts, start, config):
     q_ref = np.array(start.rotation)
     x = _project(_pack(start), config)
-    res = _batch_residuals(x[None, :], q_ref, pts)[0]
+    res = _residuals(x, q_ref, pts)
     obj = _objective(res, config.noise_scale)
     history = [obj]
     lam = 1e-3
-    converged = False
+    stop_reason = "budget"
     iterations = 0
     for _ in range(int(config.max_iterations)):
-        jac = _jacobian(x, q_ref, pts)
+        # x's rotation increment is 0 here: accepted steps fold it into q_ref.
+        res, jac = _residuals(x, q_ref, pts, jacobian=True)
         w = _huber_weights(res, config.noise_scale)
         jac_w = jac * w[:, None]
         grad = jac_w.T @ res
@@ -204,7 +196,7 @@ def _optimize_start(pts, start, config):
                 lam *= 10.0
                 continue
             x_new = _project(x + step, config)
-            res_new = _batch_residuals(x_new[None, :], q_ref, pts)[0]
+            res_new = _residuals(x_new, q_ref, pts)
             obj_new = _objective(res_new, config.noise_scale)
             if np.isfinite(obj_new) and obj_new < obj:
                 accepted = True
@@ -214,7 +206,7 @@ def _optimize_start(pts, start, config):
                 break
         if not accepted:
             # No descent direction at any damping: numerically stationary.
-            converged = True
+            stop_reason = "no_descent"
             break
         iterations += 1
         q_ref = quat_normalize(quat_mul(q_ref, quat_from_rotvec(x_new[5:8])))
@@ -223,13 +215,15 @@ def _optimize_start(pts, start, config):
         x, res, obj = x_new, res_new, obj_new
         history.append(obj)
         lam = max(lam / 3.0, 1e-12)
-        rms_now = np.sqrt(np.mean(res * res))
-        if rel_drop <= config.convergence_tol or rms_now <= _RMS_FLOOR_REL * np.max(x[2:5]):
-            converged = True
+        if rel_drop <= config.convergence_tol:
+            stop_reason = "rel_drop"
+            break
+        if np.sqrt(np.mean(res * res)) <= _RMS_FLOOR_REL * np.max(x[2:5]):
+            stop_reason = "rms_floor"
             break
     params = _unpack(x, q_ref, config)
     rms = float(np.sqrt(np.mean(res * res)))
-    return params, rms, iterations, converged, tuple(history)
+    return params, rms, iterations, stop_reason, tuple(history)
 
 
 def initial_guesses(points, k, seed=0):
@@ -335,10 +329,11 @@ def fit(points, config=None):
     diagnostics = []
     best = None
     for idx, start in enumerate(starts):
-        params, rms, iters, conv, history = _optimize_start(pts, start, config)
+        params, rms, iters, stop_reason, history = _optimize_start(pts, start, config)
+        conv = stop_reason != "budget"
         diagnostics.append(StartDiagnostic(
-            initial=start, rms_residual=rms, iterations=iters,
-            converged=conv, objective_history=history,
+            initial=start, rms_residual=rms, iterations=iters, converged=conv,
+            stop_reason=stop_reason, objective_history=history,
         ))
         if best is None or rms < best[0]:
             best = (rms, idx, params, iters, conv)

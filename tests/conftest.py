@@ -10,7 +10,8 @@ import math
 import numpy as np
 
 from sqkit import EPS_MIN, Superquadric
-from sqkit.rotations import quat_from_axis_angle, quat_mul, random_quaternion
+from sqkit.rotations import (quat_from_axis_angle, quat_from_rotvec, quat_mul, quat_to_matrix,
+                             random_quaternion)
 
 QUARTER_TURN_Z = quat_from_axis_angle((0.0, 0.0, 1.0), np.pi / 2.0)
 
@@ -161,3 +162,50 @@ def fold_gap(eps2):
     """
     rho, twin = _fold_radii(eps2, np.linspace(0.0, np.pi / 4.0, 100001))
     return float(np.max(np.abs(twin - rho)))
+
+
+# Characteristic magnitudes of the fit parameters (exponents, scales in
+# meters, rotation increments in radians, translations in meters) that floor
+# the central-difference steps.
+_FD_STEP_FLOOR = np.array([0.1, 0.1, 0.01, 0.01, 0.01, 1.0, 1.0, 1.0, 0.01, 0.01, 0.01])
+_FD_REL_STEP = 1e-6
+
+
+def _batch_radial_residuals(thetas, q_ref, pts):
+    """Radial residuals for a batch of 11-parameter vectors; returns (b, n).
+
+    Each row is (eps1, eps2, ax, ay, az, rotation increment, translation),
+    posed as q_ref composed with the increment, evaluated by einsum rather
+    than the library's kernel.
+    """
+    thetas = np.atleast_2d(thetas)
+    rot = np.stack([quat_to_matrix(quat_mul(q_ref, quat_from_rotvec(th[5:8])))
+                    for th in thetas])
+    diff = pts[None, :, :] - thetas[:, None, 8:11]
+    local = np.einsum("bji,bnj->bni", rot, diff)
+    eps1 = thetas[:, 0:1]
+    eps2 = thetas[:, 1:2]
+    ax, ay, az = thetas[:, 2:3], thetas[:, 3:4], thetas[:, 4:5]
+    with np.errstate(divide="ignore"):
+        lx = (2.0 / eps2) * np.log(np.abs(local[:, :, 0]) / ax)
+        ly = (2.0 / eps2) * np.log(np.abs(local[:, :, 1]) / ay)
+        lz = (2.0 / eps1) * np.log(np.abs(local[:, :, 2]) / az)
+    logf = np.logaddexp((eps2 / eps1) * np.logaddexp(lx, ly), lz)
+    r = np.sqrt(local[:, :, 0] ** 2 + local[:, :, 1] ** 2 + local[:, :, 2] ** 2)
+    with np.errstate(invalid="ignore", over="ignore"):
+        res = r * np.abs(1.0 - np.exp(-0.5 * eps1 * logf))
+    return np.where(r == 0.0, np.minimum(np.minimum(ax, ay), az), res)
+
+
+def fd_jacobian_oracle(x, q_ref, pts):
+    """(n, 11) Jacobian of the fit's radial residuals by central differences.
+
+    22 probes, each parameter stepped by 1e-6 of max(|value|, its floor).
+    """
+    steps = _FD_REL_STEP * np.maximum(np.abs(x), _FD_STEP_FLOOR)
+    probes = np.repeat(x[None, :], 2 * x.size, axis=0)
+    for i in range(x.size):
+        probes[2 * i, i] += steps[i]
+        probes[2 * i + 1, i] -= steps[i]
+    res = _batch_radial_residuals(probes, q_ref, pts)
+    return (res[0::2] - res[1::2]).T / (2.0 * steps)

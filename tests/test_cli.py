@@ -82,6 +82,16 @@ class TestGenSample:
                      "--fps", "50", "--output", str(out)]) == 0
         assert sk.parse_ply(out.read_bytes()).shape == (50, 3)
 
+    @pytest.mark.parametrize("command", ["sample", "gen"])
+    @pytest.mark.parametrize("scale", [1e308, 1e39])
+    def test_cloud_beyond_float32_exits_3_without_file(self, tmp_path, command, scale):
+        params = tmp_path / "huge.json"
+        params.write_text(json.dumps(dict(SPHERE, scale=[scale] * 3)))
+        out = tmp_path / "cloud.ply"
+        assert main([command, "--params", str(params), "--n", "50",
+                     "--output", str(out)]) == 3
+        assert not out.exists()
+
     def test_missing_params_file(self, tmp_path):
         assert main(["sample", "--params", str(tmp_path / "nope.json"),
                      "--n", "10", "--output", str(tmp_path / "o.ply")]) == 2

@@ -26,6 +26,17 @@ class TestWritePly:
         with pytest.raises(ValueError):
             sk.write_ply(np.zeros((0, 3)))
 
+    @pytest.mark.parametrize("value", [1e39, -1e39, 1e308])
+    def test_coordinate_beyond_float32_rejected(self, value):
+        # the file declares `property float`; such a row would read back as inf
+        with pytest.raises(ValueError, match="float32"):
+            sk.write_ply(np.array([[0.0, 0.0, 0.0], [0.0, value, 0.0]]))
+
+    def test_float32_max_round_trips(self):
+        top = float(np.finfo(np.float32).max)
+        pts = np.array([[top, -top, 0.0]])
+        assert np.array_equal(sk.parse_ply(sk.write_ply(pts)), pts)
+
 
 class TestParsePly:
     def test_round_trip(self):

@@ -1,4 +1,5 @@
-"""Fitting: residuals, moment-based initialization, and recovery round trips."""
+"""Fitting: residuals and their Jacobian, moment-based initialization, stop
+reasons, and recovery round trips."""
 
 import numpy as np
 import numpy.testing as npt
@@ -6,7 +7,8 @@ import pytest
 
 import sqkit as sk
 from sqkit.rotations import quat_to_matrix, random_quaternion
-from conftest import random_superquadric, relabel_candidates
+from sqkit import fitting
+from conftest import fd_jacobian_oracle, random_superquadric, relabel_candidates
 
 
 def _unit_sphere():
@@ -14,22 +16,100 @@ def _unit_sphere():
 
 
 class TestResidual:
+    """Radial residuals through `radial_distance`, the fit's residual kernel."""
+
     def test_zero_on_sampled_surface(self):
         rng = np.random.default_rng(2)
         sq = random_superquadric(rng)
-        for p in sk.sample_surface(sq, 50, seed=1):
-            assert sk.residual(sq, p) <= 1e-9
+        assert np.all(sk.radial_distance(sq, sk.sample_surface(sq, 50, seed=1)) <= 1e-9)
 
     def test_sphere_outside_point(self):
         # F = 4, F^(-1/2) = 0.5, distance = 2 * 0.5
-        assert sk.residual(_unit_sphere(), [2.0, 0.0, 0.0]) == 1.0
+        assert sk.radial_distance(_unit_sphere(), [2.0, 0.0, 0.0])[0] == 1.0
 
     def test_sphere_inside_point(self):
-        assert sk.residual(_unit_sphere(), [0.5, 0.0, 0.0]) == 0.5
+        assert sk.radial_distance(_unit_sphere(), [0.5, 0.0, 0.0])[0] == 0.5
 
     def test_center_falls_back_to_min_scale(self):
         sq = sk.Superquadric(0.5, 0.5, np.array([0.3, 0.2, 0.4]))
-        npt.assert_allclose(sk.residual(sq, sq.translation), 0.2)
+        npt.assert_allclose(sk.radial_distance(sq, sq.translation)[0], 0.2)
+
+
+class TestAnalyticJacobian:
+    """The fit's closed-form Jacobian against the central-difference oracle."""
+
+    # Worst column-relative deviation allowed: per column, the largest
+    # |analytic - oracle| over the compared rows divided by the largest
+    # |oracle| entry. Over the 140 pairs below the worst deviation measured
+    # 1.0e-7 and the median 3.2e-9, the oracle's own truncation and rounding.
+    BOUND = 1e-3
+
+    @staticmethod
+    def _both(sq, pts):
+        x = fitting._pack(sq)
+        q_ref = np.array(sq.rotation)
+        res, jac = fitting._residuals(x, q_ref, pts, jacobian=True)
+        return res, jac, fd_jacobian_oracle(x, q_ref, pts)
+
+    def test_matches_central_difference_oracle(self):
+        worst = 0.0
+        for i in range(20):
+            true = random_superquadric(np.random.default_rng(400 + i))
+            cloud = sk.gen_synthetic(true, sk.GenConfig(n_points=2000, noise_sigma=1e-3,
+                                                        seed=i))
+            for sq in [true] + sk.initial_guesses(cloud, sk.FitConfig().multistart):
+                res, jac, oracle = self._both(sq, cloud)
+                # Where |1 - F^(-eps1/2)| is near 0 the central difference
+                # straddles the kink of |.| and the oracle, not the analytic
+                # derivative, is wrong; compare only rows clear of it.
+                keep = res > 1e-5 * np.max(sq.scale)
+                dev = (np.max(np.abs(jac[keep] - oracle[keep]), axis=0)
+                       / np.max(np.abs(oracle[keep]), axis=0))
+                worst = max(worst, float(np.max(dev)))
+        assert worst <= self.BOUND, f"worst column-relative deviation {worst:.3g}"
+
+    @pytest.mark.parametrize("eps", [(0.1, 0.1), (0.4, 0.7), (1.0, 1.0), (1.9, 1.9)])
+    def test_finite_on_local_axes_and_center(self, eps):
+        sq = sk.Superquadric(*eps, np.array([0.03, 0.05, 0.08]))
+        pts = np.array([
+            [0.0, 0.02, 0.03],   # x = 0
+            [0.02, 0.04, 0.0],   # z = 0
+            [0.0, 0.0, 0.05],    # on the z axis
+            [0.06, 0.0, 0.0],    # on the x axis
+            [0.0, 0.0, 0.0],     # the center
+        ])
+        res, jac, oracle = self._both(sq, pts)
+        assert np.all(np.isfinite(jac))
+        # the center's residual is the constant min(scale), so its row is 0
+        assert res[4] == 0.03
+        assert np.all(jac[4] == 0.0)
+        npt.assert_allclose(jac[:4], oracle[:4], rtol=0.0,
+                            atol=self.BOUND * np.max(np.abs(oracle[:4])))
+
+
+class TestStopReason:
+    def _noisy_cloud(self):
+        true = random_superquadric(np.random.default_rng(11))
+        return sk.gen_synthetic(true, sk.GenConfig(n_points=800, noise_sigma=1e-3, seed=5))
+
+    def _reasons(self, cloud, **config):
+        out = sk.fit(cloud, sk.FitConfig(multistart=3, **config))
+        for d in out.start_diagnostics:
+            assert d.converged == (d.stop_reason != "budget")
+        return {d.stop_reason for d in out.start_diagnostics}
+
+    def test_relative_drop(self):
+        assert self._reasons(self._noisy_cloud()) == {"rel_drop"}
+
+    def test_rms_floor_on_exact_sphere(self):
+        cloud = sk.sample_surface(_unit_sphere(), 2000, seed=0)
+        assert self._reasons(cloud) == {"rms_floor"}
+
+    def test_no_descent_when_tolerance_unreachable(self):
+        assert self._reasons(self._noisy_cloud(), convergence_tol=1e-300) == {"no_descent"}
+
+    def test_budget(self):
+        assert self._reasons(self._noisy_cloud(), max_iterations=2) == {"budget"}
 
 
 class TestFitConfig:
