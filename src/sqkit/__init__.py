@@ -11,7 +11,6 @@ from .canonical import (
     canonicalize,
     compose_affine,
     decompose_scale_shear,
-    dual,
     duality_scale,
 )
 from .core import (
@@ -89,7 +88,6 @@ __all__ = [
     "compose_affine",
     "decompose_scale_shear",
     "default_grid",
-    "dual",
     "duality_scale",
     "expand_symmetries",
     "farthest_point_sample",

@@ -53,27 +53,6 @@ def duality_scale(eps2):
     return (_SQRT2_HALF - 1.0) * eps2 + 2.0 - _SQRT2_HALF
 
 
-def dual(sq):
-    """The exponent twin of `sq`: eps2 -> 2 - eps2, rescaled and turned 45 deg.
-
-    Meaningful when eps2 > 1 and ax is close to ay; computes the same formula
-    for any eps2. The twin's eps2 is floored at EPS_MIN to stay a valid
-    parameter record (an exact square cross-section would need exponent 0).
-    Exact at eps2 = 1, exact at 2 only up to that floor, and never exact in
-    between (see the module docstring); at equal radial scales it moves each
-    surface point at fixed height by at most g(eps2) * radial <= 0.0443 * radial.
-    """
-    s = duality_scale(sq.eps2)
-    radial = s * 0.5 * (sq.scale[0] + sq.scale[1])
-    return Superquadric(
-        eps1=sq.eps1,
-        eps2=max(2.0 - sq.eps2, EPS_MIN),
-        scale=np.array([radial, radial, sq.scale[2]]),
-        rotation=quat_mul(sq.rotation, TWIN_TURN_QUAT),
-        translation=sq.translation,
-    )
-
-
 @dataclass(frozen=True, eq=False)
 class CanonicalizationResult:
     """Outcome of folding a fit into the canonical eps2 range.
@@ -100,14 +79,15 @@ class CanonicalizationResult:
         return self.rotation @ self.scale_matrix, np.array(self.translation)
 
 
-def canonicalize(sq, rel_tol=1e-3):
+def canonicalize(sq):
     """Fold eps2 > 1 onto the canonical range [EPS_MIN, 1].
 
     Already-canonical inputs are returned unchanged (same parameter object,
-    identity scale/rotation factors). Warped outputs carry the full symmetric
-    scale/shear matrix so no per-axis information is lost; `radial_mismatch`
-    beyond `rel_tol` signals that the folded twin only approximates the input
-    surface.
+    identity scale/rotation factors). Otherwise the canonical record is the
+    exponent twin of the module docstring, its eps2 floored at EPS_MIN (an exact
+    square cross-section would need exponent 0); the scale/shear matrix keeps
+    the per-axis information the twin's equal radial scales drop, and a large
+    `radial_mismatch` signals that the twin only approximates the input.
     """
     if not 0.0 < sq.eps2 <= 2.0:
         raise ValueError(f"eps2 must lie in (0, 2], got {sq.eps2}")

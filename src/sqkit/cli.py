@@ -15,6 +15,7 @@ from .fileio import (
     GenConfig,
     ParseError,
     gen_synthetic,
+    parse_intrinsics,
     parse_params,
     parse_ply,
     record_from_superquadric,
@@ -22,7 +23,7 @@ from .fileio import (
     write_ply,
 )
 from .fitting import FitConfig, fit
-from .metrics import CameraIntrinsics, PoseHypothesis, accuracy_curve, mspd, mssd
+from .metrics import PoseHypothesis, accuracy_curve, mspd, mssd
 from .shapespace import (
     DENSE_SAMPLE_SIZE,
     categorize,
@@ -117,21 +118,6 @@ def _pose_from_record(record):
                                           record.translation))
 
 
-def _load_intrinsics(path):
-    raw = json.loads(_read(path).decode("utf-8", errors="replace"))
-    try:
-        values = [raw[name] for name in ("fx", "fy", "cx", "cy")]
-    except (KeyError, TypeError):
-        raise ParseError(f"{path}: expected fx, fy, cx, cy") from None
-    # bool is an int subclass, but JSON true/false are not numbers
-    if not all(type(v) in (int, float) for v in values):
-        raise ParseError(f"{path}: fx, fy, cx, cy must be numbers")
-    try:
-        return CameraIntrinsics(*values)
-    except (ValueError, OverflowError) as exc:
-        raise ParseError(f"{path}: {exc}") from None
-
-
 def _cmd_fit(args):
     cloud = parse_ply(_read(args.input))
     config = FitConfig(
@@ -200,7 +186,7 @@ def _cmd_eval(args):
         "mssd_m": mssd(pose_est, pose_gt, template, group),
     }
     if args.intrinsics is not None:
-        intrinsics = _load_intrinsics(args.intrinsics)
+        intrinsics = parse_intrinsics(_read(args.intrinsics))
         report["mspd_px"] = mspd(pose_est, pose_gt, template, group, intrinsics)
     if args.thresholds is not None:
         report["thresholds"] = args.thresholds
@@ -285,22 +271,22 @@ def build_parser():
     return parser
 
 
+# Built once: argparse parsers are not changed by parsing, so every call reuses it.
+_PARSER = build_parser()
+
+
 def main(argv=None):
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     if getattr(args, "func", None) is None:
-        parser.print_usage(sys.stderr)
+        _PARSER.print_usage(sys.stderr)
         return EXIT_USAGE
     try:
         return args.func(args)
     except ParseError as exc:
         print(f"sqkit: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except json.JSONDecodeError as exc:
-        print(f"sqkit: invalid JSON: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except ValueError as exc:
         print(f"sqkit: {exc}", file=sys.stderr)

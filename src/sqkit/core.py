@@ -116,23 +116,36 @@ def _signed_pow(base, exponent):
     return np.sign(base) * np.abs(base) ** exponent
 
 
+def _log_inside_outside(eps1, eps2, scale, local):
+    """log F at (n, 3) local-frame points, with the terms it is built from.
+
+    Returns (log F, lx, ly, lz, lxy, lplane): lx = (2/eps2) log(|x|/ax), ly
+    and lz likewise (lz with 2/eps1), lxy = logaddexp(lx, ly), lplane =
+    (eps2/eps1) lxy and log F = logaddexp(lplane, lz). It stays finite far
+    from the surface and is -inf only at the center.
+    """
+    ax, ay, az = scale
+    with np.errstate(divide="ignore"):
+        lx = (2.0 / eps2) * np.log(np.abs(local[:, 0]) / ax)
+        ly = (2.0 / eps2) * np.log(np.abs(local[:, 1]) / ay)
+        lz = (2.0 / eps1) * np.log(np.abs(local[:, 2]) / az)
+    lxy = np.logaddexp(lx, ly)
+    lplane = (eps2 / eps1) * lxy
+    return np.logaddexp(lplane, lz), lx, ly, lz, lxy, lplane
+
+
 def inside_outside(sq, points):
     """Evaluate the implicit function F at local-frame points.
 
     F is 1 on the surface, < 1 inside, > 1 outside, and is even in each
-    coordinate. Accepts a single 3-vector or an (n, 3) array; returns a float
-    or an (n,) array to match.
+    coordinate. It is exp of the log form the radial residual uses, so it is
+    inf where F overflows. Accepts a single 3-vector or an (n, 3) array;
+    returns a float or an (n,) array to match.
     """
     single = np.asarray(points).ndim == 1
     pts = as_points(points)
-    if not (np.isfinite(sq.eps1) and np.isfinite(sq.eps2)):
-        raise ValueError("exponents must be finite")
-    ax, ay, az = sq.scale
     with np.errstate(over="ignore"):
-        fx = (np.abs(pts[:, 0]) / ax) ** (2.0 / sq.eps2)
-        fy = (np.abs(pts[:, 1]) / ay) ** (2.0 / sq.eps2)
-        fz = (np.abs(pts[:, 2]) / az) ** (2.0 / sq.eps1)
-        f = (fx + fy) ** (sq.eps2 / sq.eps1) + fz
+        f = np.exp(_log_inside_outside(sq.eps1, sq.eps2, sq.scale, pts)[0])
     return float(f[0]) if single else f
 
 
@@ -154,10 +167,8 @@ def _softmax_pair(la, lb, lsum):
 def _radial_residual(eps1, eps2, scale, local, jacobian=False):
     """Radial residual r * |1 - F^(-eps1/2)| of (n, 3) local-frame points.
 
-    F is evaluated in log form, log F = logaddexp((eps2/eps1) * logaddexp(lx,
-    ly), lz) with lx = (2/eps2) log(|x|/ax) and so on, which stays finite far
-    from the surface and is -inf only at the center, whose residual is
-    reported as min(scale).
+    F is evaluated in log form (`_log_inside_outside`); the center, where
+    log F is -inf, has its residual reported as min(scale).
 
     With `jacobian`, also returns the closed-form derivatives of each
     residual: an (n, 5) array with respect to (eps1, eps2, ax, ay, az) and an
@@ -169,13 +180,7 @@ def _radial_residual(eps1, eps2, scale, local, jacobian=False):
     """
     ax, ay, az = scale
     x, y, z = local[:, 0], local[:, 1], local[:, 2]
-    with np.errstate(divide="ignore"):
-        lx = (2.0 / eps2) * np.log(np.abs(x) / ax)
-        ly = (2.0 / eps2) * np.log(np.abs(y) / ay)
-        lz = (2.0 / eps1) * np.log(np.abs(z) / az)
-    lxy = np.logaddexp(lx, ly)
-    lplane = (eps2 / eps1) * lxy
-    logf = np.logaddexp(lplane, lz)
+    logf, lx, ly, lz, lxy, lplane = _log_inside_outside(eps1, eps2, scale, local)
     r = np.sqrt((x * x + y * y) + z * z)
     center = r == 0.0
     with np.errstate(invalid="ignore", over="ignore"):

@@ -1,5 +1,6 @@
-"""File formats and synthetic data: ASCII PLY clouds, JSON parameter records,
-and seeded surface-sample generation with noise and half-space occlusion.
+"""File formats and synthetic data: ASCII PLY clouds, JSON parameter and
+camera-intrinsics records, and seeded surface-sample generation with noise
+and half-space occlusion.
 
 All lengths are meters. Coordinates are written as shortest float32
 round-trip decimals (at most 9 significant digits), matching the PLY
@@ -13,12 +14,10 @@ from typing import Optional
 import numpy as np
 
 from .core import Superquadric, as_points, sample_surface
+from .metrics import CameraIntrinsics
 from .rotations import quat_canonical, quat_from_euler_xyz, quat_normalize
 
 PARAMS_SCHEMA_VERSION = 1
-
-_PARAMS_FIELDS = {"schema_version", "eps", "scale", "rotation", "euler_xyz",
-                  "translation", "shear", "category_id"}
 
 
 class ParseError(ValueError):
@@ -162,8 +161,25 @@ def parse_ply(data):
 
 
 # ---------------------------------------------------------------------------
-# JSON parameter records
+# JSON records
 # ---------------------------------------------------------------------------
+
+def _load_json(data):
+    """Decode JSON bytes or text; malformed or too deeply nested input is a ParseError."""
+    if isinstance(data, bytes):
+        data = data.decode("utf-8", errors="replace")
+    try:
+        return json.loads(data)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"invalid JSON: {exc.msg}", line=exc.lineno) from None
+    except RecursionError:
+        raise ParseError("invalid JSON: nested too deeply") from None
+
+
+def _is_number(value):
+    # bool is an int subclass, but JSON true/false are not numbers
+    return type(value) in (int, float)
+
 
 @dataclass(frozen=True, eq=False)
 class ParamsRecord:
@@ -210,25 +226,16 @@ def write_params(record):
     return (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode("ascii")
 
 
-def parse_params(data, strict=False):
+def parse_params(data):
     """Parse a JSON parameter record.
 
     Rotation may be given as a unit quaternion (w, x, y, z) or, alternatively,
     as intrinsic XYZ Euler angles in radians under "euler_xyz"; it is always
-    normalized to a quaternion. Unknown fields raise in strict mode and are
-    ignored otherwise.
+    normalized to a quaternion. Unknown fields are ignored.
     """
-    if isinstance(data, bytes):
-        data = data.decode("utf-8", errors="replace")
-    try:
-        payload = json.loads(data)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON: {exc.msg}", line=exc.lineno) from None
+    payload = _load_json(data)
     if not isinstance(payload, dict):
         raise ParseError("parameter record must be a JSON object")
-    unknown = set(payload) - _PARAMS_FIELDS
-    if strict and unknown:
-        raise ParseError(f"unknown fields: {sorted(unknown)}")
     version = payload.get("schema_version")
     if version != PARAMS_SCHEMA_VERSION:
         raise ParseError(f"unsupported schema_version {version!r}")
@@ -239,9 +246,8 @@ def parse_params(data, strict=False):
                 raise ParseError(f"missing field {name!r}")
             return None
         val = payload[name]
-        # bool is an int subclass, but JSON true/false are not numbers
         if (not isinstance(val, (list, tuple)) or len(val) != size
-                or not all(type(v) in (int, float) for v in val)):
+                or not all(_is_number(v) for v in val)):
             raise ParseError(f"field {name!r} must be a {size}-vector of numbers")
         try:
             return tuple(float(v) for v in val)
@@ -279,6 +285,21 @@ def parse_params(data, strict=False):
     except ValueError as exc:
         raise ParseError(f"invalid parameters: {exc}") from None
     return record
+
+
+def parse_intrinsics(data):
+    """Parse a JSON camera-intrinsics record with numeric fx, fy, cx, cy."""
+    payload = _load_json(data)
+    try:
+        values = [payload[name] for name in ("fx", "fy", "cx", "cy")]
+    except (KeyError, TypeError):
+        raise ParseError("expected fx, fy, cx, cy") from None
+    if not all(_is_number(v) for v in values):
+        raise ParseError("fx, fy, cx, cy must be numbers")
+    try:
+        return CameraIntrinsics(*values)
+    except (ValueError, OverflowError) as exc:
+        raise ParseError(str(exc)) from None
 
 
 # ---------------------------------------------------------------------------

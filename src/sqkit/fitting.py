@@ -37,6 +37,8 @@ _DEGENERATE_TOL = 0.01
 # the float32 coordinates a PLY cloud stores (about 6e-8 relative); grinding
 # further buys nothing.
 _RMS_FLOOR_REL = 1e-7
+# Projection bounds for the axis scales, in meters.
+_SCALE_BOUNDS = (1e-4, 10.0)
 
 
 @dataclass(frozen=True)
@@ -50,8 +52,6 @@ class FitConfig:
         noise_scale: Huber loss scale in meters; 0 means plain least squares.
         seed: seeds the perturbations of starts cycled beyond the nine
             deterministic initial guesses.
-        eps_bounds: projection bounds for both exponents.
-        scale_bounds: projection bounds for the axis scales, in meters.
     """
 
     max_iterations: int = 200
@@ -59,8 +59,6 @@ class FitConfig:
     convergence_tol: float = 1e-8
     noise_scale: float = 0.0
     seed: int = 0
-    eps_bounds: tuple = (EPS_MIN, EPS_MAX)
-    scale_bounds: tuple = (1e-4, 10.0)
 
     def __post_init__(self):
         if int(self.max_iterations) < 1 or int(self.multistart) < 1:
@@ -69,10 +67,6 @@ class FitConfig:
             raise ValueError("convergence_tol must be positive")
         if self.noise_scale < 0:
             raise ValueError("noise_scale must be >= 0")
-        for name in ("eps_bounds", "scale_bounds"):
-            lo, hi = getattr(self, name)
-            if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
-                raise ValueError(f"{name} must be an ordered (low, high) pair")
 
 
 @dataclass(frozen=True, eq=False)
@@ -152,10 +146,10 @@ def _huber_weights(res, huber_scale):
     return w
 
 
-def _project(x, config):
+def _project(x):
     out = x.copy()
-    out[0:2] = np.clip(out[0:2], *config.eps_bounds)
-    out[2:5] = np.clip(out[2:5], *config.scale_bounds)
+    out[0:2] = np.clip(out[0:2], EPS_MIN, EPS_MAX)
+    out[2:5] = np.clip(out[2:5], *_SCALE_BOUNDS)
     return out
 
 
@@ -163,8 +157,8 @@ def _pack(sq):
     return np.concatenate(([sq.eps1, sq.eps2], sq.scale, np.zeros(3), sq.translation))
 
 
-def _unpack(x, q_ref, config):
-    x = _project(x, config)
+def _unpack(x, q_ref):
+    x = _project(x)
     return Superquadric(
         eps1=x[0], eps2=x[1], scale=x[2:5].copy(),
         rotation=quat_normalize(q_ref), translation=x[8:11].copy(),
@@ -173,7 +167,7 @@ def _unpack(x, q_ref, config):
 
 def _optimize_start(pts, start, config):
     q_ref = np.array(start.rotation)
-    x = _project(_pack(start), config)
+    x = _project(_pack(start))
     res = _residuals(x, q_ref, pts)
     obj = _objective(res, config.noise_scale)
     history = [obj]
@@ -195,7 +189,7 @@ def _optimize_start(pts, start, config):
             except np.linalg.LinAlgError:
                 lam *= 10.0
                 continue
-            x_new = _project(x + step, config)
+            x_new = _project(x + step)
             res_new = _residuals(x_new, q_ref, pts)
             obj_new = _objective(res_new, config.noise_scale)
             if np.isfinite(obj_new) and obj_new < obj:
@@ -221,7 +215,7 @@ def _optimize_start(pts, start, config):
         if np.sqrt(np.mean(res * res)) <= _RMS_FLOOR_REL * np.max(x[2:5]):
             stop_reason = "rms_floor"
             break
-    params = _unpack(x, q_ref, config)
+    params = _unpack(x, q_ref)
     rms = float(np.sqrt(np.mean(res * res)))
     return params, rms, iterations, stop_reason, tuple(history)
 

@@ -27,12 +27,6 @@ def quat_mul(q1, q2):
     ])
 
 
-def quat_conj(q):
-    """Conjugate (inverse for unit quaternions)."""
-    q = np.asarray(q, dtype=float)
-    return np.array([q[0], -q[1], -q[2], -q[3]])
-
-
 def quat_from_axis_angle(axis, angle):
     """Unit quaternion rotating by `angle` radians about `axis`."""
     axis = np.asarray(axis, dtype=float)
@@ -112,12 +106,6 @@ def quat_canonical(q):
         if c != 0.0:
             return -q if c < 0.0 else q.copy()
     return q.copy()
-
-
-def quat_angle_between(q1, q2):
-    """Rotation angle in radians separating two unit quaternions."""
-    d = abs(float(np.dot(q1, q2)))
-    return 2.0 * np.arccos(min(d, 1.0))
 
 
 def rotation_about_z(angle):

@@ -6,12 +6,19 @@ structurally different code.
 """
 
 import math
+import os
+from pathlib import Path
 
 import numpy as np
 
 from sqkit import EPS_MIN, Superquadric
 from sqkit.rotations import (quat_from_axis_angle, quat_from_rotvec, quat_mul, quat_to_matrix,
                              random_quaternion)
+
+# Subprocesses the tests start (the CLI as a module, the demos) import sqkit
+# from this tree as well, whether or not the package is installed.
+_SRC = str(Path(__file__).resolve().parents[1] / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")]))
 
 QUARTER_TURN_Z = quat_from_axis_angle((0.0, 0.0, 1.0), np.pi / 2.0)
 
@@ -73,6 +80,21 @@ def fps_oracle(points, k, start):
             if d < mindist[i]:
                 mindist[i] = d
     return chosen
+
+
+def inside_outside_oracle(sq, local):
+    """F in power form at (n, 3) local points, term by term.
+
+    ((|x|/ax)^(2/e2) + (|y|/ay)^(2/e2))^(e2/e1) + (|z|/az)^(2/e1); a term that
+    overflows makes F inf even where F itself would be finite.
+    """
+    ax, ay, az = sq.scale
+    local = np.asarray(local, dtype=float)
+    with np.errstate(over="ignore"):
+        fx = (np.abs(local[:, 0]) / ax) ** (2.0 / sq.eps2)
+        fy = (np.abs(local[:, 1]) / ay) ** (2.0 / sq.eps2)
+        fz = (np.abs(local[:, 2]) / az) ** (2.0 / sq.eps1)
+        return (fx + fy) ** (sq.eps2 / sq.eps1) + fz
 
 
 def polar_oracle(M):

@@ -3,6 +3,8 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sqkit as sk
 from sqkit.rotations import quat_to_matrix, rotation_about_z
@@ -21,27 +23,22 @@ class TestDualityScale:
 
 
 class TestDual:
+    """The exponent twin, as the canonical record of `canonicalize`."""
+
     def test_folds_exponent_and_rescales(self):
         sq = sk.Superquadric(1.0, 1.5, np.array([0.04, 0.04, 0.1]))
-        twin = sk.dual(sq)
+        twin = sk.canonicalize(sq).canonical
         npt.assert_allclose(twin.eps2, 0.5, atol=1e-12)
         npt.assert_allclose(sk.duality_scale(1.5), 0.8535534, atol=1e-7)
         npt.assert_allclose(twin.scale[:2], 0.03414, atol=5e-6)
         npt.assert_allclose(twin.scale[2], 0.1)
-
-    def test_unit_scale_factor_at_one(self):
-        sq = sk.Superquadric(0.8, 1.0, np.array([0.05, 0.05, 0.07]))
-        twin = sk.dual(sq)
-        npt.assert_allclose(twin.scale, sq.scale, rtol=1e-14)
-        # circular cross-section: the quarter-half turn changes nothing
-        assert sk.surface_hausdorff(sq, twin, n=512) < 1e-9
 
     def test_square_diamond_equivalence(self):
         # a diamond cross-section (eps2 = 2) folds onto the 45-degree-rotated
         # square with half-extent sqrt(2)/2 whose corners land on the
         # diamond's vertices (up to the exponent floor, ~0.35%)
         sq = sk.Superquadric(0.05, 2.0, np.array([1.0, 1.0, 1.0]))
-        twin = sk.dual(sq)
+        twin = sk.canonicalize(sq).canonical
         assert twin.eps2 == sk.EPS_MIN  # exponent 0 floored
         npt.assert_allclose(twin.scale[0], SQRT2_HALF, rtol=1e-12)
         a = twin.scale[0]
@@ -54,13 +51,45 @@ class TestDual:
             assert min(np.linalg.norm(c - v) for v in vertices) <= 5e-3
         assert sk.surface_hausdorff(sq, twin, n=2048) <= 5e-3
 
-    def test_double_fold_restores_exponent(self):
-        rng = np.random.default_rng(6)
-        for _ in range(20):
-            sq = random_superquadric(rng, eps2=(0.05, 1.95))
-            if sq.eps2 <= sk.EPS_MIN or sq.eps2 >= 2.0 - sk.EPS_MIN:
-                continue
-            assert abs(sk.dual(sk.dual(sq)).eps2 - sq.eps2) <= 1e-12
+
+_exponents = st.floats(sk.EPS_MIN, 2.0)
+_scales = st.lists(st.floats(1e-3, 10.0), min_size=3, max_size=3)
+_quaternions = (st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4)
+                .filter(lambda q: np.linalg.norm(q) > 0.1)
+                .map(lambda q: np.array(q) / np.linalg.norm(q)))
+_translations = st.lists(st.floats(-10.0, 10.0), min_size=3, max_size=3)
+superquadrics = st.builds(sk.Superquadric, _exponents, _exponents, _scales, _quaternions,
+                          _translations)
+# Deterministic: the same examples on every run, and no example database.
+fold_settings = settings(derandomize=True, database=None, deadline=None, max_examples=300)
+
+
+class TestFoldProperties:
+    """Invariants of `canonicalize` over every valid parameter record."""
+
+    @fold_settings
+    @given(superquadrics)
+    def test_lands_in_canonical_range(self, sq):
+        result = sk.canonicalize(sq)
+        assert sk.EPS_MIN <= result.canonical.eps2 <= 1.0
+        assert result.warped is (sq.eps2 > 1.0)
+
+    @fold_settings
+    @given(superquadrics)
+    def test_idempotent(self, sq):
+        first = sk.canonicalize(sq).canonical
+        second = sk.canonicalize(first)
+        assert second.warped is False
+        assert second.canonical is first
+
+    @fold_settings
+    @given(superquadrics)
+    def test_decomposition_rebuilds_composed_factor(self, sq):
+        # stated bound: every entry within 1e-12 of the factor's largest entry
+        M, t = sk.canonicalize(sq).compose()
+        M2, t2 = sk.compose_affine(*sk.decompose_scale_shear(M), t)
+        assert np.max(np.abs(M2 - M)) <= 1e-12 * np.max(np.abs(M))
+        npt.assert_array_equal(t2, t)
 
 
 class TestCanonicalize:

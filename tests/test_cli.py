@@ -144,6 +144,12 @@ class TestCanon:
         assert rec.eps == (1.0, 1.0)
         assert rec.shear == (0.0, 0.0, 0.0)
 
+    def test_nested_json_params_exits_2(self, tmp_path):
+        src = tmp_path / "deep.json"
+        src.write_text("[" * 100000 + "]" * 100000)
+        assert main(["canon", "--params", str(src), "--output", str(tmp_path / "o.json")]) == 2
+        assert not (tmp_path / "o.json").exists()
+
     def test_canon_rejects_sheared_record(self, tmp_path):
         rec = dict(SPHERE)
         rec["shear"] = [0.01, 0.0, 0.0]
@@ -202,6 +208,18 @@ class TestEval:
     def test_undecodable_intrinsics_exits_2(self, tmp_path, sphere_params):
         intr = tmp_path / "intr.json"
         intr.write_bytes(b"\xff\xfe{")
+        assert main(["eval", "--gt", sphere_params, "--est", sphere_params,
+                     "--intrinsics", str(intr)]) == 2
+
+    def test_intrinsics_not_json_exits_2(self, tmp_path, sphere_params):
+        intr = tmp_path / "intr.json"
+        intr.write_text("fx = 500")
+        assert main(["eval", "--gt", sphere_params, "--est", sphere_params,
+                     "--intrinsics", str(intr)]) == 2
+
+    def test_nested_json_intrinsics_exits_2(self, tmp_path, sphere_params):
+        intr = tmp_path / "intr.json"
+        intr.write_text("[" * 100000 + "]" * 100000)
         assert main(["eval", "--gt", sphere_params, "--est", sphere_params,
                      "--intrinsics", str(intr)]) == 2
 

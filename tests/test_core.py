@@ -5,7 +5,7 @@ import numpy.testing as npt
 import pytest
 
 import sqkit as sk
-from conftest import fps_oracle, random_superquadric
+from conftest import fps_oracle, inside_outside_oracle, random_superquadric
 
 
 def _sphere(radius=1.0):
@@ -84,6 +84,53 @@ class TestInsideOutside:
         vec = sk.inside_outside(sq, pts)
         for p, f in zip(pts, vec):
             assert sk.inside_outside(sq, p) == f
+
+
+class TestInsideOutsideOracle:
+    """The log-form F against the power form, `inside_outside_oracle`."""
+
+    def test_matches_power_form(self):
+        # stated bound rtol 1e-12 over the full exponent range, points out to
+        # 3x scale, a third of them on a coordinate plane and some on an axis
+        rng = np.random.default_rng(61)
+        worst = 0.0
+        for _ in range(400):
+            sq = random_superquadric(rng, eps1=(sk.EPS_MIN, 2.0), eps2=(sk.EPS_MIN, 2.0),
+                                     posed=False)
+            pts = rng.uniform(-3.0, 3.0, size=(500, 3)) * sq.scale
+            for j in range(3):
+                pts[j:150:3, j] = 0.0
+            pts[150:200, :2] = 0.0
+            pts[200:250, 1:] = 0.0
+            f = sk.inside_outside(sq, pts)
+            g = inside_outside_oracle(sq, pts)
+            assert np.all(np.isfinite(g))
+            worst = max(worst, float(np.max(np.abs(f - g) / g)))
+        assert worst <= 1e-12
+
+    def test_same_overflow_as_power_form(self):
+        # with eps1 == eps2 the power form's outer exponent is 1, so it
+        # overflows exactly where F does, not in an intermediate term
+        rng = np.random.default_rng(62)
+        overflowed = 0
+        for _ in range(100):
+            e = rng.uniform(sk.EPS_MIN, 0.05)
+            sq = sk.Superquadric(e, e, rng.uniform(0.02, 0.2, 3))
+            pts = rng.uniform(-300.0, 300.0, size=(500, 3)) * sq.scale
+            f = sk.inside_outside(sq, pts)
+            g = inside_outside_oracle(sq, pts)
+            npt.assert_array_equal(np.isinf(f), np.isinf(g))
+            finite = np.isfinite(g)
+            npt.assert_allclose(f[finite], g[finite], rtol=1e-12)
+            overflowed += int(np.sum(~finite))
+        assert overflowed > 0
+
+    def test_finite_where_power_terms_overflow(self):
+        # on the x axis F = (|x|/ax)^(2/eps1) = 100, though (|x|/ax)^(2/eps2)
+        # is 1e400, beyond float range
+        sq = sk.Superquadric(2.0, sk.EPS_MIN, np.ones(3))
+        assert np.isinf(inside_outside_oracle(sq, [[100.0, 0.0, 0.0]])[0])
+        npt.assert_allclose(sk.inside_outside(sq, [100.0, 0.0, 0.0]), 100.0, rtol=1e-12)
 
 
 # ---------------------------------------------------------------------------

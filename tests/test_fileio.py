@@ -149,14 +149,11 @@ class TestParamsRecord:
         rec = sk.parse_params(json.dumps(payload))
         assert rec.rotation == (1.0, 0.0, 0.0, 0.0)
 
-    def test_unknown_field_strict_vs_lenient(self):
+    def test_unknown_field_ignored(self):
         payload = {"schema_version": 1, "eps": [0.5, 0.5], "scale": [1, 1, 1],
                    "rotation": [1, 0, 0, 0], "translation": [0, 0, 0],
                    "color": "red"}
-        text = json.dumps(payload)
-        assert sk.parse_params(text).eps == (0.5, 0.5)
-        with pytest.raises(sk.ParseError):
-            sk.parse_params(text, strict=True)
+        assert sk.parse_params(json.dumps(payload)).eps == (0.5, 0.5)
 
     def test_bad_schema_version(self):
         with pytest.raises(sk.ParseError):

@@ -124,8 +124,6 @@ class TestFitConfig:
             sk.FitConfig(convergence_tol=0.0)
         with pytest.raises(ValueError):
             sk.FitConfig(noise_scale=-1.0)
-        with pytest.raises(ValueError):
-            sk.FitConfig(scale_bounds=(1.0, 0.5))
 
 
 class TestInitialGuesses:
