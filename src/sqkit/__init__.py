@@ -22,7 +22,6 @@ from .core import (
     radial_distance,
     sample_surface,
     surface_hausdorff,
-    transform_points,
 )
 from .fileio import (
     GenConfig,
@@ -58,7 +57,6 @@ from .shapespace import (
     categorize,
     default_grid,
     expand_symmetries,
-    identity_group,
     symmetry_group,
     template_points,
 )
@@ -93,7 +91,6 @@ __all__ = [
     "farthest_point_sample",
     "fit",
     "gen_synthetic",
-    "identity_group",
     "initial_guesses",
     "inside_outside",
     "mspd",
@@ -107,7 +104,6 @@ __all__ = [
     "surface_hausdorff",
     "symmetry_group",
     "template_points",
-    "transform_points",
     "write_params",
     "write_ply",
 ]

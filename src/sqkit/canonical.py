@@ -89,8 +89,6 @@ def canonicalize(sq):
     the per-axis information the twin's equal radial scales drop, and a large
     `radial_mismatch` signals that the twin only approximates the input.
     """
-    if not 0.0 < sq.eps2 <= 2.0:
-        raise ValueError(f"eps2 must lie in (0, 2], got {sq.eps2}")
     ax, ay, az = sq.scale
     mismatch = abs(ax - ay) / max(ax, ay)
     if sq.eps2 <= 1.0:
@@ -110,7 +108,7 @@ def canonicalize(sq):
     radial = s * 0.5 * (ax + ay)
     canonical = Superquadric(
         eps1=sq.eps1,
-        eps2=float(np.clip(2.0 - sq.eps2, EPS_MIN, 1.0)),
+        eps2=max(2.0 - sq.eps2, EPS_MIN),
         scale=np.array([radial, radial, az]),
         rotation=quat_mul(sq.rotation, TWIN_TURN_QUAT),
         translation=sq.translation,

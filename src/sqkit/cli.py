@@ -1,12 +1,15 @@
 """Command-line interface: fit, sample, canon, eval, gen, grid.
 
-Exit codes: 0 success, 1 usage error, 2 parse/format error, 3 numerical
-failure (non-convergence, degenerate input, a cloud beyond the float32 range
-of PLY coordinates). Diagnostics go to stderr.
+Exit codes: 0 success, 1 usage error (including a non-finite number flag),
+2 parse/format error (including an input that cannot be read or an output
+that cannot be written), 3 numerical failure (non-convergence, degenerate
+input, a cloud beyond the float32 range of PLY coordinates). Diagnostics go
+to stderr.
 """
 
 import argparse
 import json
+import math
 import sys
 
 from .canonical import canonicalize, compose_affine, decompose_scale_shear
@@ -53,8 +56,11 @@ def _read(path):
 
 
 def _write(path, data):
-    with open(path, "wb") as f:
-        f.write(data)
+    try:
+        with open(path, "wb") as f:
+            f.write(data)
+    except OSError as exc:
+        raise ParseError(f"cannot write {path}: {exc.strerror}") from None
 
 
 def _load_params(path):
@@ -78,6 +84,8 @@ def _thresholds(text):
         raise argparse.ArgumentTypeError(f"bad threshold list: {text!r}") from None
     if not values:
         raise argparse.ArgumentTypeError("threshold list is empty")
+    if not all(map(math.isfinite, values)):
+        raise argparse.ArgumentTypeError("thresholds must be finite")
     if any(b < a for a, b in zip(values, values[1:])):
         raise argparse.ArgumentTypeError("thresholds must be ascending")
     return values
@@ -98,8 +106,8 @@ def _nonnegative_float(text):
         value = float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
-    if value < 0.0:
-        raise argparse.ArgumentTypeError("must be >= 0")
+    if not 0.0 <= value < math.inf:
+        raise argparse.ArgumentTypeError("must be finite and >= 0")
     return value
 
 

@@ -22,18 +22,18 @@ EPS_MAX = 2.0
 _QUAT_NORM_TOL = 1e-9
 
 
-def as_points(points, allow_empty=False):
+def as_points(points):
     """Validate and return a point cloud as an (n, 3) float array.
 
-    Accepts any array-like of 3-vectors. Rejects non-finite coordinates and,
-    unless `allow_empty`, empty clouds.
+    Accepts any array-like of 3-vectors. Rejects non-finite coordinates and
+    empty clouds.
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim == 1 and pts.size == 3:
         pts = pts.reshape(1, 3)
     if pts.ndim != 2 or pts.shape[1] != 3:
         raise ValueError(f"expected an (n, 3) point array, got shape {pts.shape}")
-    if pts.shape[0] == 0 and not allow_empty:
+    if pts.shape[0] == 0:
         raise ValueError("point cloud is empty")
     if not np.all(np.isfinite(pts)):
         raise ValueError("point cloud contains non-finite coordinates")
@@ -304,20 +304,6 @@ def farthest_point_sample(points, k, start=0):
         chosen[m] = nxt
         np.minimum(d2, sq_dist(nxt, cand), out=d2)
     return chosen
-
-
-def transform_points(M, t, points):
-    """Apply p -> M p + t to every point, preserving order."""
-    M = np.asarray(M, dtype=float)
-    t = np.asarray(t, dtype=float)
-    if M.shape != (3, 3) or not np.all(np.isfinite(M)):
-        raise ValueError("M must be a finite 3x3 matrix")
-    if t.shape != (3,) or not np.all(np.isfinite(t)):
-        raise ValueError("t must be a finite 3-vector")
-    if np.linalg.det(M) == 0.0:
-        raise ValueError("transform matrix is singular")
-    pts = as_points(points, allow_empty=True)
-    return _apply_linear(M, pts) + t
 
 
 def surface_hausdorff(sq_a, sq_b, n=2048, seed=0):

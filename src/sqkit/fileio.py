@@ -318,8 +318,8 @@ class GenConfig:
     def __post_init__(self):
         if int(self.n_points) < 1:
             raise ValueError("n_points must be >= 1")
-        if not self.noise_sigma >= 0:
-            raise ValueError("noise_sigma must be >= 0")
+        if not 0 <= self.noise_sigma < np.inf:
+            raise ValueError("noise_sigma must be finite and >= 0")
         if not 0.0 < self.visible_fraction <= 1.0:
             raise ValueError("visible_fraction must lie in (0, 1]")
 

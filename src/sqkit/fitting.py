@@ -2,15 +2,16 @@
 
 The fitter minimizes the sum of squared radial surface distances over the 11
 parameters (two exponents, three scales, rotation, translation). Rotation is
-optimized through a local 3-vector increment folded back onto a reference
-quaternion after every accepted step, so the quaternion stays normalized and
-the chart stays centered. The Jacobian is analytic: the closed-form
-derivatives of `core`'s radial-residual kernel, mapped onto the rotation
-increment and the translation. Damped (Levenberg-Marquardt) steps are
-accepted only when they reduce the objective, exponents and scales are
-projected onto their bounds at step time, and several deterministic starts
-guard against local minima; the lowest-residual start wins, ties broken by
-start index. Each start records why it stopped.
+optimized through a local 3-vector increment that every trial step folds
+into the pose quaternion, so the quaternion stays normalized and the chart
+stays centered. The Jacobian is analytic: the closed-form derivatives of
+`core`'s radial-residual kernel, mapped onto the rotation increment and the
+translation. Damped (Levenberg-Marquardt) steps are accepted only when they
+reduce the objective; each trial is evaluated once, residuals and Jacobian
+together, and an accepted trial's evaluation carries into the next step.
+Exponents and scales are projected onto their bounds at step time, and
+several deterministic starts guard against local minima; the lowest-residual
+start wins, ties broken by start index. Each start records why it stopped.
 """
 
 from dataclasses import dataclass, field
@@ -65,8 +66,8 @@ class FitConfig:
             raise ValueError("iteration and start counts must be >= 1")
         if not self.convergence_tol > 0:
             raise ValueError("convergence_tol must be positive")
-        if self.noise_scale < 0:
-            raise ValueError("noise_scale must be >= 0")
+        if not 0 <= self.noise_scale < np.inf:
+            raise ValueError("noise_scale must be finite and >= 0")
 
 
 @dataclass(frozen=True, eq=False)
@@ -80,15 +81,18 @@ class StartDiagnostic:
         "no_descent": no damping gave a step that lowers the objective;
         "budget": max_iterations accepted steps were taken without any of
             the above.
-    converged is False only for "budget".
     """
 
     initial: Superquadric
     rms_residual: float
     iterations: int
-    converged: bool
     stop_reason: str
     objective_history: tuple
+
+    @property
+    def converged(self):
+        """False only for "budget"."""
+        return self.stop_reason != "budget"
 
 
 @dataclass(frozen=True, eq=False)
@@ -106,20 +110,18 @@ class FitResult:
     start_diagnostics: tuple = field(repr=False, default=())
 
 
-def _residuals(x, q_ref, pts, jacobian=False):
-    """Radial residuals of pts at parameter vector x, and optionally their Jacobian.
+def _residuals(x, q, pts):
+    """Radial residuals of pts at parameter vector x and their (n, 11) Jacobian.
 
     x is (eps1, eps2, ax, ay, az, rotation increment, translation); the pose
-    is q_ref composed with the increment. With `jacobian`, returns
-    (residuals, (n, 11) Jacobian) from the kernel's closed-form derivatives.
-    The rotation columns hold the derivative at a zero increment, where
+    is the unit quaternion q, and x's rotation increment is always 0 here.
+    The Jacobian comes from the kernel's closed-form derivatives. The
+    rotation columns hold the derivative at that zero increment, where
     d local / d theta_k = local x e_k, so they are g x local for the kernel's
     local-coordinate gradient g; the translation columns are -R g.
     """
-    rot = quat_to_matrix(quat_mul(q_ref, quat_from_rotvec(x[5:8])))
+    rot = quat_to_matrix(q)
     local = _apply_linear(rot.T, pts - x[8:11])
-    if not jacobian:
-        return _radial_residual(x[0], x[1], x[2:5], local)
     res, d_shape, grad_local = _radial_residual(x[0], x[1], x[2:5], local, jacobian=True)
     jac = np.empty((res.shape[0], _N_PARAMS))
     jac[:, 0:5] = d_shape
@@ -157,26 +159,22 @@ def _pack(sq):
     return np.concatenate(([sq.eps1, sq.eps2], sq.scale, np.zeros(3), sq.translation))
 
 
-def _unpack(x, q_ref):
-    x = _project(x)
+def _unpack(x, q):
     return Superquadric(
-        eps1=x[0], eps2=x[1], scale=x[2:5].copy(),
-        rotation=quat_normalize(q_ref), translation=x[8:11].copy(),
+        eps1=x[0], eps2=x[1], scale=x[2:5].copy(), rotation=q, translation=x[8:11].copy(),
     )
 
 
 def _optimize_start(pts, start, config):
-    q_ref = np.array(start.rotation)
+    q = np.array(start.rotation)
     x = _project(_pack(start))
-    res = _residuals(x, q_ref, pts)
+    res, jac = _residuals(x, q, pts)
     obj = _objective(res, config.noise_scale)
     history = [obj]
     lam = 1e-3
     stop_reason = "budget"
     iterations = 0
     for _ in range(int(config.max_iterations)):
-        # x's rotation increment is 0 here: accepted steps fold it into q_ref.
-        res, jac = _residuals(x, q_ref, pts, jacobian=True)
         w = _huber_weights(res, config.noise_scale)
         jac_w = jac * w[:, None]
         grad = jac_w.T @ res
@@ -189,8 +187,12 @@ def _optimize_start(pts, start, config):
             except np.linalg.LinAlgError:
                 lam *= 10.0
                 continue
+            # The trial's rotation increment is folded into its quaternion
+            # before the one evaluation, so an accepted trial carries over.
             x_new = _project(x + step)
-            res_new = _residuals(x_new, q_ref, pts)
+            q_new = quat_normalize(quat_mul(q, quat_from_rotvec(x_new[5:8])))
+            x_new[5:8] = 0.0
+            res_new, jac_new = _residuals(x_new, q_new, pts)
             obj_new = _objective(res_new, config.noise_scale)
             if np.isfinite(obj_new) and obj_new < obj:
                 accepted = True
@@ -203,10 +205,8 @@ def _optimize_start(pts, start, config):
             stop_reason = "no_descent"
             break
         iterations += 1
-        q_ref = quat_normalize(quat_mul(q_ref, quat_from_rotvec(x_new[5:8])))
-        x_new[5:8] = 0.0
         rel_drop = (obj - obj_new) / max(obj, 1e-300)
-        x, res, obj = x_new, res_new, obj_new
+        x, q, res, jac, obj = x_new, q_new, res_new, jac_new, obj_new
         history.append(obj)
         lam = max(lam / 3.0, 1e-12)
         if rel_drop <= config.convergence_tol:
@@ -215,7 +215,7 @@ def _optimize_start(pts, start, config):
         if np.sqrt(np.mean(res * res)) <= _RMS_FLOOR_REL * np.max(x[2:5]):
             stop_reason = "rms_floor"
             break
-    params = _unpack(x, q_ref)
+    params = _unpack(x, q)
     rms = float(np.sqrt(np.mean(res * res)))
     return params, rms, iterations, stop_reason, tuple(history)
 
@@ -324,14 +324,14 @@ def fit(points, config=None):
     best = None
     for idx, start in enumerate(starts):
         params, rms, iters, stop_reason, history = _optimize_start(pts, start, config)
-        conv = stop_reason != "budget"
-        diagnostics.append(StartDiagnostic(
-            initial=start, rms_residual=rms, iterations=iters, converged=conv,
+        diag = StartDiagnostic(
+            initial=start, rms_residual=rms, iterations=iters,
             stop_reason=stop_reason, objective_history=history,
-        ))
+        )
+        diagnostics.append(diag)
         if best is None or rms < best[0]:
-            best = (rms, idx, params, iters, conv)
-        if conv and rms <= _RMS_FLOOR_REL * np.max(params.scale):
+            best = (rms, idx, params, iters, diag.converged)
+        if diag.converged and rms <= _RMS_FLOOR_REL * np.max(params.scale):
             # Essentially exact fit: later starts can only differ by float
             # dust, so the lowest-index perfect start wins deterministically.
             break

@@ -163,11 +163,6 @@ def symmetry_group(sq, rel_tol=1e-3):
     return SymmetryGroup(_REVOLUTION)
 
 
-def identity_group():
-    """Group containing only the identity rotation."""
-    return SymmetryGroup(np.eye(3)[None])
-
-
 def expand_symmetries(group):
     """The group's (m, 3, 3) rotation stack, identity first."""
     return group.rotations

@@ -203,16 +203,16 @@ def test_criterion_07_metric_invariants():
                        [0.125, -0.375, 0.625], [0.0, 0.5, -0.25]])
     est = sk.PoseHypothesis(np.eye(3), np.array([0.25, 0.0, 0.0]))
     gt = sk.PoseHypothesis(np.eye(3), np.zeros(3))
-    exact = sk.mssd(est, gt, dyadic, sk.identity_group())
+    exact = sk.mssd(est, gt, dyadic, sk.SymmetryGroup(np.eye(3)[None]))
     ok &= exact == 0.25
     est2 = sk.PoseHypothesis(np.eye(3), np.array([0.01, 0.0, 0.0]))
-    general = sk.mssd(est2, gt, dyadic, sk.identity_group())
+    general = sk.mssd(est2, gt, dyadic, sk.SymmetryGroup(np.eye(3)[None]))
     ok &= abs(general - 0.01) <= 1e-12
     # planar template: MSPD offset is fx * dx / z
     plane = np.stack([np.linspace(-0.1, 0.1, 16), np.zeros(16), np.zeros(16)], axis=1)
     gtp = sk.PoseHypothesis(np.eye(3), np.array([0.0, 0.0, 1.0]))
     estp = sk.PoseHypothesis(np.eye(3), np.array([0.01, 0.0, 1.0]))
-    px = sk.mspd(estp, gtp, plane, sk.identity_group(), intr)
+    px = sk.mspd(estp, gtp, plane, sk.SymmetryGroup(np.eye(3)[None]), intr)
     ok &= abs(px - 5.0) <= 1e-9
     _report(7, ok, "group elements absorbed (<= 1e-9); translation and planar "
                    "projection offsets exact", f"worst absorbed error {worst:.2e}")

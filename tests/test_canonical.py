@@ -154,10 +154,10 @@ class TestCanonicalize:
             c = result.canonical
             unit = sk.Superquadric(c.eps1, c.eps2, np.ones(3))
             u = sk.sample_surface(unit, 256, seed=1)
-            posed = sk.transform_points(result.rotation @ result.scale_matrix,
-                                        result.translation, u)
-            direct = sk.transform_points(c.rotation_matrix @ np.diag(c.scale),
-                                         c.translation, u)
+            posed = sk.PoseHypothesis(result.rotation @ result.scale_matrix,
+                                      result.translation).apply(u)
+            direct = sk.PoseHypothesis(c.rotation_matrix @ np.diag(c.scale),
+                                       c.translation).apply(u)
             npt.assert_allclose(posed, direct, atol=1e-15)
 
     def test_fold_surface_deviation_is_bounded(self):

@@ -52,6 +52,59 @@ class TestUsage:
                      "--thresholds", "3,2,1"]) == 1
 
 
+class TestNonFinite:
+    """nan and inf are usage errors wherever a number flag is read."""
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_fit_noise_scale(self, tmp_path, sphere_params, value):
+        cloud = tmp_path / "c.ply"
+        assert main(["gen", "--params", sphere_params, "--n", "200", "--output", str(cloud)]) == 0
+        out = tmp_path / "fit.json"
+        assert main(["fit", "--input", str(cloud), "--output", str(out),
+                     "--noise-scale", value]) == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_gen_noise(self, tmp_path, sphere_params, value):
+        out = tmp_path / "c.ply"
+        assert main(["gen", "--params", sphere_params, "--n", "200", "--noise", value,
+                     "--output", str(out)]) == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("thresholds", ["inf", "0.001,nan", "0.001,inf"])
+    def test_eval_thresholds(self, tmp_path, sphere_params, thresholds):
+        out = tmp_path / "report.json"
+        assert main(["eval", "--gt", sphere_params, "--est", sphere_params,
+                     "--thresholds", thresholds, "--output", str(out)]) == 1
+        assert not out.exists()
+
+
+class TestUnwritableOutput:
+    """An output path that cannot be opened is a parse/format error (exit 2)."""
+
+    @pytest.fixture
+    def cloud(self, tmp_path, sphere_params):
+        path = tmp_path / "c.ply"
+        assert main(["gen", "--params", sphere_params, "--n", "200", "--output", str(path)]) == 0
+        return str(path)
+
+    @pytest.mark.parametrize("command", ["gen", "sample", "fit", "canon", "eval"])
+    def test_exits_2_without_traceback(self, tmp_path, sphere_params, cloud, capsys, command):
+        bad = str(tmp_path / "missing" / "out")
+        argv = {
+            "gen": ["gen", "--params", sphere_params, "--n", "50"],
+            "sample": ["sample", "--params", sphere_params, "--n", "50"],
+            "fit": ["fit", "--input", cloud],
+            "canon": ["canon", "--params", sphere_params],
+            "eval": ["eval", "--gt", sphere_params, "--est", sphere_params],
+        }[command]
+        capsys.readouterr()
+        assert main(argv + ["--output", bad]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"sqkit: cannot write {bad}: ")
+        assert "Traceback" not in err
+
+
 class TestGrid:
     def test_list_prints_all_categories(self, capsys):
         assert main(["grid", "--list"]) == 0

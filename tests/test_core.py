@@ -216,21 +216,24 @@ class TestFarthestPointSample:
 
 
 # ---------------------------------------------------------------------------
-# transform_points
+# affine point transform p -> M p + t (PoseHypothesis.apply)
 # ---------------------------------------------------------------------------
+
+def _transform(M, t, points):
+    return sk.PoseHypothesis(M, t).apply(points)
+
 
 class TestTransformPoints:
     def test_identity(self):
         pts = np.random.default_rng(0).normal(size=(10, 3))
-        npt.assert_array_equal(sk.transform_points(np.eye(3), np.zeros(3), pts), pts)
+        npt.assert_array_equal(_transform(np.eye(3), np.zeros(3), pts), pts)
 
     def test_pure_translation(self):
-        out = sk.transform_points(np.eye(3), np.array([1.0, 2.0, 3.0]), np.zeros((1, 3)))
+        out = _transform(np.eye(3), np.array([1.0, 2.0, 3.0]), np.zeros((1, 3)))
         npt.assert_array_equal(out[0], [1.0, 2.0, 3.0])
 
     def test_pure_scale(self):
-        out = sk.transform_points(np.diag([2.0, 2.0, 2.0]), np.zeros(3),
-                                  np.array([[1.0, 0.0, 0.0]]))
+        out = _transform(np.diag([2.0, 2.0, 2.0]), np.zeros(3), np.array([[1.0, 0.0, 0.0]]))
         npt.assert_array_equal(out[0], [2.0, 0.0, 0.0])
 
     def test_composition(self):
@@ -239,13 +242,15 @@ class TestTransformPoints:
         for _ in range(10):
             m1, m2 = rng.normal(size=(2, 3, 3)) + 2 * np.eye(3)
             t1, t2 = rng.normal(size=(2, 3))
-            step = sk.transform_points(m2, t2, sk.transform_points(m1, t1, pts))
-            fused = sk.transform_points(m2 @ m1, m2 @ t1 + t2, pts)
+            # a pose needs det > 0; negating a 3x3 matrix flips its sign
+            m1, m2 = (m * np.sign(np.linalg.det(m)) for m in (m1, m2))
+            step = _transform(m2, t2, _transform(m1, t1, pts))
+            fused = _transform(m2 @ m1, m2 @ t1 + t2, pts)
             npt.assert_allclose(step, fused, atol=1e-12)
 
     def test_singular_matrix_rejected(self):
         with pytest.raises(ValueError):
-            sk.transform_points(np.zeros((3, 3)), np.zeros(3), np.ones((2, 3)))
+            _transform(np.zeros((3, 3)), np.zeros(3), np.ones((2, 3)))
 
 
 # ---------------------------------------------------------------------------

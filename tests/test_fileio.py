@@ -219,6 +219,9 @@ class TestGenSynthetic:
             sk.GenConfig(n_points=0)
         with pytest.raises(ValueError):
             sk.GenConfig(noise_sigma=-0.1)
+        for sigma in (np.nan, np.inf):
+            with pytest.raises(ValueError):
+                sk.GenConfig(noise_sigma=sigma)
         with pytest.raises(ValueError):
             sk.GenConfig(visible_fraction=0.0)
         with pytest.raises(ValueError):

@@ -48,7 +48,7 @@ class TestAnalyticJacobian:
     def _both(sq, pts):
         x = fitting._pack(sq)
         q_ref = np.array(sq.rotation)
-        res, jac = fitting._residuals(x, q_ref, pts, jacobian=True)
+        res, jac = fitting._residuals(x, q_ref, pts)
         return res, jac, fd_jacobian_oracle(x, q_ref, pts)
 
     def test_matches_central_difference_oracle(self):
@@ -124,6 +124,9 @@ class TestFitConfig:
             sk.FitConfig(convergence_tol=0.0)
         with pytest.raises(ValueError):
             sk.FitConfig(noise_scale=-1.0)
+        for scale in (np.nan, np.inf):
+            with pytest.raises(ValueError):
+                sk.FitConfig(noise_scale=scale)
 
 
 class TestInitialGuesses:
@@ -220,6 +223,23 @@ class TestFit:
         out = sk.fit(cloud, sk.FitConfig(multistart=4, max_iterations=60))
         assert out.rms_residual == min(d.rms_residual for d in out.start_diagnostics)
 
+    @pytest.mark.parametrize("kind", ["general", "square", "revolution"])
+    def test_rms_residual_is_rms_of_radial_distance(self, kind):
+        # Four seeded noisy clouds per object class: general shapes, square
+        # cross-sections (ax == ay) and bodies of revolution (also eps2 == 1).
+        # The reported RMS must be that of the returned parameters, exactly.
+        for i in range(4):
+            rng = np.random.default_rng([15, i])
+            sq = random_superquadric(rng)
+            if kind != "general":
+                radial = sq.scale[0]
+                sq = sk.Superquadric(sq.eps1, 1.0 if kind == "revolution" else sq.eps2,
+                                     [radial, radial, sq.scale[2]], sq.rotation, sq.translation)
+            cloud = sk.gen_synthetic(sq, sk.GenConfig(n_points=2000, noise_sigma=1e-3, seed=i))
+            out = sk.fit(cloud)
+            rd = sk.radial_distance(out.params, cloud)
+            assert out.rms_residual == np.sqrt(np.mean(rd ** 2)), f"cloud {i}"
+
     def test_rigid_invariance(self):
         rng = np.random.default_rng(13)
         true = sk.Superquadric(0.4, 0.7, np.array([0.03, 0.06, 0.1]),
@@ -227,11 +247,11 @@ class TestFit:
         cloud = sk.sample_surface(true, 1500, seed=7)
         R = quat_to_matrix(random_quaternion(rng))
         t = rng.uniform(-0.2, 0.2, 3)
-        moved = sk.transform_points(R, t, cloud)
+        moved = sk.PoseHypothesis(R, t).apply(cloud)
         fit_a = sk.fit(cloud).params
         fit_b = sk.fit(moved).params
         # surfaces must match after applying the same rigid motion
-        surf_a = sk.transform_points(R, t, sk.sample_surface(fit_a, 400, seed=8))
+        surf_a = sk.PoseHypothesis(R, t).apply(sk.sample_surface(fit_a, 400, seed=8))
         dist = sk.radial_distance(fit_b, surf_a)
         assert dist.max() <= 1e-3 * fit_b.scale.max()
 

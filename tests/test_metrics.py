@@ -9,6 +9,7 @@ from sqkit.rotations import quat_to_matrix, random_quaternion
 from conftest import mssd_oracle
 
 K = sk.CameraIntrinsics(fx=500.0, fy=500.0, cx=320.0, cy=240.0)
+IDENTITY = sk.SymmetryGroup(np.eye(3)[None])
 
 
 def _pose(M=None, t=(0.0, 0.0, 0.0)):
@@ -60,7 +61,7 @@ class TestPoseHypothesis:
 class TestMssd:
     def test_zero_for_identical_poses(self):
         tpl = _template()
-        assert sk.mssd(_pose(), _pose(), tpl, sk.identity_group()) == 0.0
+        assert sk.mssd(_pose(), _pose(), tpl, IDENTITY) == 0.0
 
     def test_symmetry_absorbed(self):
         sq = sk.Superquadric(0.5, 0.5, np.array([0.04, 0.04, 0.09]))
@@ -75,19 +76,19 @@ class TestMssd:
         # dyadic template coordinates and offset make the arithmetic exact
         tpl = np.array([[0.5, 0.25, -0.75], [-0.5, 0.0, 0.25], [0.25, -0.25, 0.5]])
         est = _pose(t=(0.25, 0.0, 0.0))
-        assert sk.mssd(est, _pose(), tpl, sk.identity_group()) == 0.25
+        assert sk.mssd(est, _pose(), tpl, IDENTITY) == 0.25
 
     def test_translation_offset_general(self):
         tpl = _template()
         est = _pose(t=(0.01, 0.0, 0.0))
-        npt.assert_allclose(sk.mssd(est, _pose(), tpl, sk.identity_group()), 0.01,
+        npt.assert_allclose(sk.mssd(est, _pose(), tpl, IDENTITY), 0.01,
                             rtol=1e-12)
 
     def test_adding_points_never_decreases(self):
         rng = np.random.default_rng(5)
         tpl = _template(48)
         est = _pose(np.diag([1.1, 0.9, 1.0]), (0.01, -0.02, 0.005))
-        group = sk.identity_group()
+        group = IDENTITY
         base = sk.mssd(est, _pose(), tpl, group)
         for _ in range(5):
             extra = np.vstack([tpl, rng.normal(size=(4, 3))])
@@ -121,14 +122,14 @@ class TestMssd:
 
     def test_empty_template_rejected(self):
         with pytest.raises(ValueError):
-            sk.mssd(_pose(), _pose(), np.zeros((0, 3)), sk.identity_group())
+            sk.mssd(_pose(), _pose(), np.zeros((0, 3)), IDENTITY)
 
 
 class TestMspd:
     def test_zero_for_identical_poses(self):
         tpl = _template()
         gt = _pose(t=(0.0, 0.0, 1.0))
-        assert sk.mspd(gt, gt, tpl, sk.identity_group(), K) == 0.0
+        assert sk.mspd(gt, gt, tpl, IDENTITY, K) == 0.0
 
     def test_planar_template_offset(self):
         # all points at z = 1: pixel shift is exactly fx * dx / z
@@ -137,7 +138,7 @@ class TestMspd:
         tpl = np.concatenate([grid, np.zeros((len(grid), 1))], axis=1)
         gt = _pose(t=(0.0, 0.0, 1.0))
         est = _pose(t=(0.01, 0.0, 1.0))
-        npt.assert_allclose(sk.mspd(est, gt, tpl, sk.identity_group(), K), 5.0,
+        npt.assert_allclose(sk.mspd(est, gt, tpl, IDENTITY, K), 5.0,
                             atol=1e-9)
 
     def test_symmetry_absorbed(self):
@@ -152,7 +153,7 @@ class TestMspd:
     def test_behind_camera_rejected(self):
         tpl = _template()
         with pytest.raises(ValueError):
-            sk.mspd(_pose(), _pose(), tpl, sk.identity_group(), K)
+            sk.mspd(_pose(), _pose(), tpl, IDENTITY, K)
 
 
 class TestAccuracyCurve:

@@ -176,7 +176,7 @@ class TestSymmetryGroup:
 
 class TestExpandSymmetries:
     def test_identity_group(self):
-        mats = sk.expand_symmetries(sk.identity_group())
+        mats = sk.expand_symmetries(sk.SymmetryGroup(np.eye(3)[None]))
         assert len(mats) == 1
         npt.assert_allclose(mats[0], np.eye(3))
 
