@@ -98,18 +98,23 @@ class Superquadric:
 
 
 def _apply_linear(M, pts):
-    """M @ p for every point p of pts, as (x*c0 + y*c1) + z*c2 over M's columns.
+    """M @ p for every point p of pts, as (x*M[j,0] + y*M[j,1]) + z*M[j,2] in row j.
 
     Explicit ufunc formulation (not matmul) keeps the arithmetic order
     identical to a scalar reference implementation. Either argument may carry
     leading stack axes: an (m, 3, 3) stack of matrices applied to (n, 3)
     points gives (m, n, 3), and so does one 3x3 matrix applied to (m, n, 3)
-    points.
+    points. Each output column is built from the x, y, z slices, so no
+    inner loop runs over an axis of length 3.
     """
-    out = pts[..., 0:1] * M[..., None, :, 0]
-    out += pts[..., 1:2] * M[..., None, :, 1]
-    out += pts[..., 2:3] * M[..., None, :, 2]
-    return out
+    x, y, z = pts[..., 0], pts[..., 1], pts[..., 2]
+    cols = []
+    for j in range(3):
+        col = x * M[..., j, 0, None]
+        col += y * M[..., j, 1, None]
+        col += z * M[..., j, 2, None]
+        cols.append(col)
+    return np.stack(cols, axis=-1)
 
 
 def _signed_pow(base, exponent):

@@ -9,6 +9,7 @@ round-trip decimals (at most 9 significant digits), matching the PLY
 
 import json
 from dataclasses import dataclass
+from itertools import islice
 from typing import Optional
 
 import numpy as np
@@ -37,6 +38,122 @@ def _fmt_float32(value):
         np.float32(value), unique=True, trim="-")
 
 
+# Coordinates are formatted this many points at a time, so the temporaries
+# stay near a megabyte however large the cloud.
+_BLOCK_POINTS = 4096
+# A digit decision closer than this, relative to the value, to an interval
+# bound or to a tie is left to `_fmt_float32`. Float64 rounding errors here
+# are about 1e-16; a float32 rounding interval is at least 6e-8 of its value wide.
+_MARGIN = 1e-12
+_POW10_MIN = -55
+# Correctly rounded powers of ten, 1e-55 .. 1e39. No float32 lies within
+# 1.8e-10 (relative) of a power of ten it does not equal, so comparing a
+# float32 with these entries finds its decimal exponent exactly.
+_POW10 = np.array([float(f"1e{e}") for e in range(_POW10_MIN, 40)])
+_INT_POW10 = 10 ** np.arange(10, dtype=np.int32)
+
+
+def _shortest_digits(a):
+    """Shortest decimals c * 10**k that round to the float32 magnitudes a.
+
+    a is a float64 array of nonzero finite float32 magnitudes. The interval
+    that rounds to a has as bounds the midpoints to its float32 neighbours,
+    exact in float64. The fewest significant digits p (1..9) whose grid of
+    multiples of 10**k, k = e - p + 1, has a point inside the interval is
+    found by bisection, since a grid point for p is one for p + 1. Of the
+    grid points just below and above a, the one inside wins, or the closer
+    one if both are. This is the digit string Dragon4 (`_fmt_float32`) gives.
+    Returns (c, k, unsure): unsure marks a value for which any of these
+    tests falls within _MARGIN of a bound or of a tie; its digits must come
+    from `_fmt_float32`.
+    """
+    f32 = a.astype(np.float32)
+    lo = 0.5 * (a + np.nextafter(f32, np.float32(0)))
+    with np.errstate(over="ignore"):
+        up = np.nextafter(f32, np.float32(np.inf))
+    # Above float32 max Dragon4 takes max plus half its spacing, not inf.
+    hi = np.where(np.isinf(up), 2.0 * a - lo, 0.5 * (a + up))
+    tol = _MARGIN * a
+    e = np.floor(np.log10(a)).astype(np.int32)
+    e -= a < _POW10[e - _POW10_MIN]
+    e += a >= _POW10[e + 1 - _POW10_MIN]
+
+    # Bisect on p: no grid point inside at p_lo, one at p_hi (9 always has).
+    unsure = np.zeros(a.shape, bool)
+    p_lo = np.zeros(a.shape, np.int32)
+    p_hi = np.full(a.shape, 9, np.int32)
+    while (active := p_hi - p_lo > 1).any():
+        p = (p_lo + p_hi) // 2
+        unit = _POW10[e - p + 1 - _POW10_MIN]
+        top = np.floor(hi / unit) * unit  # the highest grid point below hi
+        unsure |= active & ((np.abs(top - lo) <= tol) | (hi - top <= tol)
+                            | (top + unit - hi <= tol))
+        inside = top > lo
+        p_hi = np.where(active & inside, p, p_hi)
+        p_lo = np.where(active & ~inside, p, p_lo)
+
+    k = e - p_hi + 1
+    unit = _POW10[k - _POW10_MIN]
+    low = np.floor(a / unit)
+    below = low * unit
+    above = below + unit
+    in_below = (below > lo) & (below < hi)
+    in_above = (above > lo) & (above < hi)
+    closeness = np.minimum(np.minimum(np.abs(below - lo), np.abs(below - hi)),
+                           np.minimum(np.abs(above - lo), np.abs(above - hi)))
+    skew = (a - below) - (above - a)  # > 0 when `above` is closer
+    both = in_below & in_above
+    unsure |= (closeness <= tol) | (both & (np.abs(skew) <= tol)) | ~(in_below | in_above)
+    c = (low + (in_above & ~(both & (skew < 0)))).astype(np.int32)
+    # A carry (9.x rounded up to 10) leaves trailing zeros.
+    while True:
+        zero = (c % 10 == 0) & (c > 0)
+        if not zero.any():
+            return c, k, unsure
+        c[zero] //= 10
+        k[zero] += 1
+
+
+def _format_block(values):
+    """PLY vertex rows of float32 values in shortest positional form.
+
+    values is a float64 array of float32 values, three per point; each is
+    followed by a space, or by a newline when it is a point's last
+    coordinate. The output equals `_fmt_float32` applied value by value.
+    """
+    neg = np.signbit(values)
+    a = np.abs(values)
+    c = np.zeros(a.shape, np.int32)
+    k = np.zeros(a.shape, np.int32)
+    slow = np.zeros(a.shape, bool)
+    nonzero = np.flatnonzero(a)
+    c[nonzero], k[nonzero], slow[nonzero] = _shortest_digits(a[nonzero])
+
+    # Layout: [-] integer digits (at least one) [. fraction digits]. Column
+    # j shows the digit of place top - j before the dot (column `dot`) and
+    # top - j + 1 after it; c has at most 9 digits.
+    ndigits = np.maximum(np.searchsorted(_INT_POW10, c, side="right"), 1).astype(np.int8)
+    dot = neg + np.maximum(ndigits + k, 1).astype(np.int8)
+    length = dot + np.where(k < 0, 1 - k, 0).astype(np.int8)
+    top = dot - 1 - k.astype(np.int8)
+    fallback = [(i, _fmt_float32(values[i]).encode("ascii")) for i in np.flatnonzero(slow)]
+    for i, text in fallback:
+        length[i] = len(text)
+
+    col = np.arange(length.max() + 1, dtype=np.int8)
+    after_dot = col > dot[:, None]
+    place = top[:, None] - col + after_dot
+    digit = c[:, None] // _INT_POW10[np.clip(place, 0, 9)] % 10
+    buf = np.where(place < 0, 48, digit + 48).astype(np.uint8)
+    buf[col == dot[:, None]] = ord(".")
+    buf[neg, 0] = ord("-")
+    for i, text in fallback:
+        buf[i, :len(text)] = np.frombuffer(text, np.uint8)
+    index = np.arange(len(values))
+    buf[index, length] = np.where(index % 3 == 2, ord("\n"), ord(" "))
+    return buf[col <= length[:, None]].tobytes()
+
+
 def write_ply(points):
     """Serialize a nonempty cloud as deterministic ASCII PLY bytes.
 
@@ -45,9 +162,10 @@ def write_ply(points):
     """
     pts = as_points(points)
     with np.errstate(over="ignore"):
-        if not np.all(np.isfinite(pts.astype(np.float32))):
-            raise ValueError("coordinate beyond float32 range, the PLY property type")
-    lines = [
+        f32 = pts.astype(np.float32)
+    if not np.all(np.isfinite(f32)):
+        raise ValueError("coordinate beyond float32 range, the PLY property type")
+    header = "\n".join([
         "ply",
         "format ascii 1.0",
         "comment units: meters",
@@ -56,10 +174,52 @@ def write_ply(points):
         "property float y",
         "property float z",
         "end_header",
-    ]
-    for p in pts:
-        lines.append(f"{_fmt_float32(p[0])} {_fmt_float32(p[1])} {_fmt_float32(p[2])}")
-    return ("\n".join(lines) + "\n").encode("ascii")
+    ]) + "\n"
+    chunks = [header.encode("ascii")]
+    for i in range(0, len(f32), _BLOCK_POINTS):
+        chunks.append(_format_block(f32[i:i + _BLOCK_POINTS].ravel().astype(np.float64)))
+    return b"".join(chunks)
+
+
+def _vertex_rows(lines, first, count, ncols, cols):
+    """Vertex coordinates of lines[first:first + count], row by row.
+
+    Each row needs at least ncols tokens; cols picks x, y, z. Values are
+    parsed at float32, the declared property type.
+    """
+    pts = np.empty((count, 3))
+    with np.errstate(over="ignore"):
+        for i in range(count):
+            ln = first + 1 + i
+            tokens = lines[ln - 1].split()
+            if len(tokens) < ncols:
+                raise ParseError("vertex row has too few columns", line=ln)
+            try:
+                for j, c in enumerate(cols):
+                    pts[i, j] = np.float32(tokens[c])
+            except ValueError:
+                raise ParseError("non-numeric vertex coordinate", line=ln) from None
+    return pts
+
+
+def _vertex_rows_fast(lines, first, count, ncols, cols):
+    """`_vertex_rows` in one np.loadtxt call, or None where it may differ.
+
+    Rows go through float64 to float32, as np.float32(token) does. Anything
+    loadtxt rejects or skips (ragged or blank rows) is left to the row loop,
+    which raises the ParseError with its line.
+    """
+    if count == 0 or not lines[first].split():
+        return None  # loadtxt would skip the blank row, and warn if all are
+    try:
+        table = np.loadtxt(islice(lines, first, first + count), comments=None, ndmin=2)
+    except ValueError:
+        return None
+    if table.shape[0] != count or table.shape[1] < ncols:
+        return None
+    with np.errstate(over="ignore"):
+        table[:] = table.astype(np.float32)
+    return table[:, cols]
 
 
 def parse_ply(data):
@@ -69,14 +229,14 @@ def parse_ply(data):
     and other elements are tolerated and ignored. Raises ParseError with a
     line number on malformed headers, bad coordinates, or count mismatches.
     """
+    # No name holds the whole text: it is freed once split into lines.
     if isinstance(data, bytes):
         try:
-            text = data.decode("ascii")
+            lines = data.decode("ascii").splitlines()
         except UnicodeDecodeError as exc:
             raise ParseError(f"not an ASCII file: {exc}") from None
     else:
-        text = data
-    lines = text.splitlines()
+        lines = data.splitlines()
     if not lines or lines[0].strip() != "ply":
         raise ParseError("missing 'ply' magic", line=1)
 
@@ -84,7 +244,7 @@ def parse_ply(data):
     properties = {}  # element name -> list of property names
     fmt_seen = False
     body_start = None
-    for ln, raw in enumerate(lines[1:], start=2):
+    for ln, raw in enumerate(islice(lines, 1, None), start=2):
         tokens = raw.split()
         if not tokens or tokens[0] == "comment":
             continue
@@ -106,6 +266,8 @@ def parse_ply(data):
         elif tokens[0] == "property":
             if not elements:
                 raise ParseError("property before any element", line=ln)
+            if len(tokens) < 3:
+                raise ParseError("malformed property declaration", line=ln)
             if tokens[1] == "list":
                 properties[elements[-1][0]].append(None)
             else:
@@ -140,20 +302,13 @@ def parse_ply(data):
                 line=len(lines))
         if name != "vertex":
             continue
-        pts = np.empty((count, 3))
-        for i in range(count):
-            ln = first + 1 + i
-            tokens = lines[ln - 1].split()
-            if len(tokens) < len(vprops):
-                raise ParseError("vertex row has too few columns", line=ln)
-            try:
-                for j, c in enumerate(cols):
-                    # parse at float32 to match the declared property type
-                    pts[i, j] = np.float32(tokens[c])
-            except ValueError:
-                raise ParseError("non-numeric vertex coordinate", line=ln) from None
-        if not np.all(np.isfinite(pts)):
-            raise ParseError("non-finite vertex coordinate", line=first + 1)
+        pts = _vertex_rows_fast(lines, first, count, len(vprops), cols)
+        if pts is None:
+            pts = _vertex_rows(lines, first, count, len(vprops), cols)
+        finite = np.isfinite(pts).all(axis=1)
+        if not finite.all():
+            bad = first + 1 + int(np.argmin(finite))
+            raise ParseError("non-finite vertex coordinate", line=bad)
     for ln in range(cursor + 1, len(lines) + 1):
         if lines[ln - 1].strip():
             raise ParseError("unexpected content after declared elements", line=ln)

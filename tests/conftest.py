@@ -130,6 +130,19 @@ def mssd_oracle(est, gt, template, rotations):
     return best
 
 
+def ply_body_oracle(points):
+    """PLY vertex rows of an (n, 3) cloud, formatted one value at a time.
+
+    Each coordinate is written as numpy's Dragon4 shortest float32 decimal
+    in positional form; rows end in a newline.
+    """
+    rows = []
+    for p in np.asarray(points, dtype=float).reshape(-1, 3):
+        rows.append(" ".join(np.format_float_positional(np.float32(v), unique=True, trim="-")
+                             for v in p))
+    return "".join(row + "\n" for row in rows).encode("ascii")
+
+
 def _affine_coord(pose, x, y, z):
     M = pose.matrix
     t = pose.translation

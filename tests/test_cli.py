@@ -158,6 +158,14 @@ class TestFit:
                        "end_header\n0 0 0\n1 1 1\n")
         assert main(["fit", "--input", str(bad), "--output", str(tmp_path / "o.json")]) == 2
 
+    def test_bare_property_line_exits_2(self, tmp_path, capsys):
+        bad = tmp_path / "bad.ply"
+        bad.write_text("ply\nformat ascii 1.0\nelement vertex 1\nproperty\n"
+                       "property float x\nproperty float y\nproperty float z\n"
+                       "end_header\n0 0 0\n")
+        assert main(["fit", "--input", str(bad), "--output", str(tmp_path / "o.json")]) == 2
+        assert "line 4" in capsys.readouterr().err
+
     def test_under_determined_cloud_exits_3(self, tmp_path):
         small = _write_ply(tmp_path, "small.ply",
                            [[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1]])

@@ -1,13 +1,17 @@
 """File formats: ASCII PLY, JSON parameter records, synthetic clouds."""
 
 import json
+import warnings
 
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sqkit as sk
-from conftest import random_superquadric
+from sqkit import fileio
+from conftest import ply_body_oracle, random_superquadric
 
 
 class TestWritePly:
@@ -103,6 +107,191 @@ class TestParsePly:
                 "end_header\n0 0 0\nleftover\n")
         with pytest.raises(sk.ParseError):
             sk.parse_ply(text)
+
+
+HEADER = ("ply\nformat ascii 1.0\nelement vertex {n}\n"
+          "property float x\nproperty float y\nproperty float z\nend_header\n")
+
+
+def _body(data):
+    return data.split(b"end_header\n", 1)[1]
+
+
+def _as_points(values):
+    """float32 values, zero-padded to whole points, as an (n, 3) float64 cloud."""
+    values = np.asarray(values, dtype=np.float32)
+    values = np.concatenate([values, np.zeros(-len(values) % 3, np.float32)])
+    return values.astype(float).reshape(-1, 3)
+
+
+def _powers_of_two():
+    powers = np.ldexp(np.float32(1.0), np.arange(-149, 128))
+    return np.concatenate([powers, np.nextafter(powers, np.float32(0.0)),
+                           np.nextafter(powers, np.float32(np.inf))])
+
+
+def _powers_of_ten():
+    with np.errstate(over="ignore"):
+        nearest = np.array([10.0 ** e for e in range(-45, 39)]).astype(np.float32)
+    values = np.concatenate([nearest, np.nextafter(nearest, np.float32(0.0)),
+                             np.nextafter(nearest, np.float32(np.inf))])
+    return np.concatenate([values, -values])
+
+
+def _decimal_ties():
+    # odd multiples of 2**-6: from 128 up, many lie halfway between two shortest decimals
+    halves = (np.arange(1, 2 ** 17, 2) / 64.0).astype(np.float32)
+    return np.concatenate([halves, -halves, [-503.765625]])
+
+
+_F32 = np.finfo(np.float32)
+VALUE_SETS = {
+    "random_bits": lambda: (np.random.default_rng(20261018)
+                            .integers(0, 2 ** 32, size=10 ** 6, dtype=np.uint64)
+                            .astype(np.uint32).view(np.float32)),
+    "powers_of_two": _powers_of_two,
+    "specials": lambda: np.array([0.0, -0.0, _F32.max, -_F32.max, _F32.tiny, -_F32.tiny,
+                                  _F32.smallest_subnormal, -_F32.smallest_subnormal],
+                                 np.float32),
+    "powers_of_ten": _powers_of_ten,
+    "decimal_ties": _decimal_ties,
+}
+
+
+class TestWritePlyOracle:
+    """`write_ply` bodies equal the per-value Dragon4 oracle byte for byte."""
+
+    @pytest.mark.parametrize("name", sorted(VALUE_SETS))
+    def test_matches_oracle(self, name):
+        values = VALUE_SETS[name]()
+        pts = _as_points(values[np.isfinite(values)])
+        assert _body(sk.write_ply(pts)) == ply_body_oracle(pts)
+
+    @staticmethod
+    def _count_fallbacks(monkeypatch, pts):
+        calls = []
+        per_value = fileio._fmt_float32
+        monkeypatch.setattr(fileio, "_fmt_float32", lambda v: calls.append(v) or per_value(v))
+        assert _body(sk.write_ply(pts)) == ply_body_oracle(pts)
+        return len(calls)
+
+    def test_ties_take_the_per_value_fallback(self, monkeypatch):
+        pts = _as_points(_decimal_ties())
+        assert 0 < self._count_fallbacks(monkeypatch, pts) < pts.size
+
+    def test_sampled_cloud_needs_no_fallback(self, monkeypatch):
+        sq = random_superquadric(np.random.default_rng(8))
+        pts = sk.gen_synthetic(sq, sk.GenConfig(n_points=2000, noise_sigma=0.001, seed=8))
+        assert self._count_fallbacks(monkeypatch, pts) == 0
+
+
+_float32s = st.floats(width=32, allow_nan=False, allow_infinity=False)
+_clouds = st.lists(st.tuples(_float32s, _float32s, _float32s), min_size=1, max_size=40)
+# Deterministic: the same examples on every run, and no example database.
+ply_settings = settings(derandomize=True, database=None, deadline=None, max_examples=300)
+
+
+class TestPlyProperties:
+    @ply_settings
+    @given(_clouds)
+    def test_write_parse_write_is_byte_stable(self, rows):
+        pts = np.array(rows, dtype=float)
+        first = sk.write_ply(pts)
+        assert _body(first) == ply_body_oracle(pts)
+        back = sk.parse_ply(first)
+        assert back.tobytes() == pts.tobytes()
+        assert sk.write_ply(back) == first
+
+
+def _loop_only(monkeypatch):
+    monkeypatch.setattr(fileio, "_vertex_rows_fast", lambda *args: None)
+
+
+class TestPlyErrors:
+    def test_bare_property_line(self):
+        text = ("ply\nformat ascii 1.0\nelement vertex 1\nproperty\n"
+                "property float x\nproperty float y\nproperty float z\nend_header\n0 0 0\n")
+        with pytest.raises(sk.ParseError) as err:
+            sk.parse_ply(text)
+        assert err.value.line == 4
+
+    @pytest.mark.parametrize("row_loop", [False, True], ids=["fast", "row_loop"])
+    @pytest.mark.parametrize("token", ["nan", "inf", "-inf", "1e39"])
+    def test_non_finite_reported_on_its_row_without_warning(self, monkeypatch, token, row_loop):
+        if row_loop:
+            _loop_only(monkeypatch)
+        text = HEADER.format(n=4) + f"0 0 0\n1 1 1\n2 {token} 2\n3 3 3\n"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(sk.ParseError, match="non-finite") as err:
+                sk.parse_ply(text)
+        assert err.value.line == 10
+
+
+_MUTATION_CHARS = list("0123456789.-+eE \t\n\rnaif_x#,") + ["\x0b", "\x0c", "\x1c", "\x1f", "\x00"]
+_MUTATION_TOKENS = ["nan", "-inf", "1e39", "1_0", "+.5", "5.", "0x10", "1e",
+                    "1.0000001788139343261718749", "1.5e-50", "١", " "]
+
+
+def _mutate(text, rng):
+    body_start = text.index("end_header\n") + len("end_header\n")
+    pos = int(rng.integers(body_start, len(text) + 1))
+    kind = rng.integers(5)
+    if kind == 0:
+        return text[:pos] + str(rng.choice(_MUTATION_CHARS)) + text[pos + 1:]
+    if kind == 1:
+        return text[:pos] + str(rng.choice(_MUTATION_CHARS)) + text[pos:]
+    if kind == 2:
+        return text[:pos] + text[pos + 1:]
+    if kind == 3:
+        return text[:pos] + str(rng.choice(_MUTATION_TOKENS)) + text[pos:]
+    lines = text.splitlines(keepends=True)
+    i = int(rng.integers(len(lines)))
+    return "".join(lines[:i] + [lines[i]] + lines[i:])
+
+
+def _outcome(text):
+    try:
+        pts = sk.parse_ply(text)
+    except sk.ParseError as exc:
+        return ("error", str(exc), exc.line)
+    return ("points", pts.shape, pts.tobytes())
+
+
+class TestFastParse:
+    """The one-call vertex parse agrees with the row loop it falls back to."""
+
+    def _files(self, rng):
+        for n in (1, 2, 5, 17):
+            pts = rng.normal(scale=10.0 ** rng.integers(-3, 3), size=(n, 3))
+            yield sk.write_ply(pts).decode("ascii")
+            # extra properties around x, y, z
+            rows = "".join(f"{a:.6g} {x!r} {y!r} {z!r} 255\n"
+                           for a, (x, y, z) in zip(rng.normal(size=n), pts))
+            yield ("ply\nformat ascii 1.0\nelement vertex %d\nproperty float nx\n"
+                   "property float x\nproperty float y\nproperty float z\n"
+                   "property uchar red\nend_header\n%s" % (n, rows))
+
+    def test_matches_row_loop_on_mutated_files(self, monkeypatch):
+        rng = np.random.default_rng(9)
+        used_fast = []
+        fast = fileio._vertex_rows_fast
+
+        def recording(*args):
+            pts = fast(*args)
+            used_fast.append(pts is not None)
+            return pts
+
+        monkeypatch.setattr(fileio, "_vertex_rows_fast", recording)
+        cases = [_mutate(text, rng) for text in self._files(rng) for _ in range(150)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            results = [_outcome(text) for text in cases]
+        _loop_only(monkeypatch)
+        for text, result in zip(cases, results):
+            assert result == _outcome(text), repr(text)
+        # both paths were taken
+        assert any(used_fast) and not all(used_fast)
 
 
 class TestParamsRecord:
