@@ -25,7 +25,6 @@ scale information when ax != ay at the cost of an off-diagonal (shear) term.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import polar
 
 from .core import EPS_MIN, Superquadric
 from .rotations import (
@@ -126,15 +125,19 @@ def canonicalize(sq):
 def decompose_scale_shear(M):
     """Split M = R @ P into a rotation and a symmetric positive factor.
 
-    Returns (R, scale, shear) where scale is the diagonal of P and shear the
-    off-diagonal entries (p_xy, p_xz, p_yz). Requires det(M) > 0.
+    The polar factors come from the SVD M = W diag(s) V^T: R = W V^T and
+    P = V diag(s) V^T (Higham 1986). Returns (R, scale, shear) where scale
+    is the diagonal of P and shear the off-diagonal entries
+    (p_xy, p_xz, p_yz). Requires det(M) > 0.
     """
     M = np.asarray(M, dtype=float)
     if M.shape != (3, 3) or not np.all(np.isfinite(M)):
         raise ValueError("M must be a finite 3x3 matrix")
     if np.linalg.det(M) <= 0.0:
         raise ValueError("M must have positive determinant")
-    R, P = polar(M, side="right")
+    w, s, vh = np.linalg.svd(M)
+    R = w @ vh
+    P = (vh.T * s) @ vh
     scale = np.array([P[0, 0], P[1, 1], P[2, 2]])
     shear = np.array([P[0, 1], P[0, 2], P[1, 2]])
     return R, scale, shear

@@ -147,6 +147,10 @@ def _cmd_fit(args):
 
 
 def _cmd_sample(args):
+    if args.fps is not None and args.fps > args.n:
+        print(f"sqkit sample: error: --fps {args.fps} exceeds --n {args.n}, "
+              "the number of points it picks from", file=sys.stderr)
+        return EXIT_USAGE
     sq = _load_params(args.params).to_superquadric()
     cloud = sample_surface(sq, args.n, seed=0)
     if args.fps is not None:

@@ -225,9 +225,10 @@ def _vertex_rows_fast(lines, first, count, ncols, cols):
 def parse_ply(data):
     """Parse an ASCII PLY cloud from bytes or text.
 
-    The vertex element must carry float x, y, z properties; extra properties
-    and other elements are tolerated and ignored. Raises ParseError with a
-    line number on malformed headers, bad coordinates, or count mismatches.
+    The vertex element must carry float x, y, z properties and no list
+    property; extra scalar properties and other elements are tolerated and
+    ignored. Raises ParseError with a line number on malformed headers, bad
+    coordinates, or count mismatches.
     """
     # No name holds the whole text: it is freed once split into lines.
     if isinstance(data, bytes):
@@ -268,10 +269,11 @@ def parse_ply(data):
                 raise ParseError("property before any element", line=ln)
             if len(tokens) < 3:
                 raise ParseError("malformed property declaration", line=ln)
-            if tokens[1] == "list":
-                properties[elements[-1][0]].append(None)
-            else:
-                properties[elements[-1][0]].append(tokens[-1])
+            # A list spans a count plus that many tokens in each row, leaving
+            # x, y, z no fixed column; other elements' rows are only counted.
+            if tokens[1] == "list" and elements[-1][0] == "vertex":
+                raise ParseError("vertex element has a list property", line=ln)
+            properties[elements[-1][0]].append(tokens[-1])
         elif tokens[0] == "end_header":
             if not fmt_seen:
                 raise ParseError("missing format declaration", line=ln)

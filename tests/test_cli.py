@@ -135,6 +135,14 @@ class TestGenSample:
                      "--fps", "50", "--output", str(out)]) == 0
         assert sk.parse_ply(out.read_bytes()).shape == (50, 3)
 
+    def test_fps_above_n_is_usage_error(self, tmp_path, sphere_params, capsys):
+        out = tmp_path / "s.ply"
+        assert main(["sample", "--params", sphere_params, "--n", "10",
+                     "--fps", "20", "--output", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "--fps" in err and "--n" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["sample", "gen"])
     @pytest.mark.parametrize("scale", [1e308, 1e39])
     def test_cloud_beyond_float32_exits_3_without_file(self, tmp_path, command, scale):
@@ -163,6 +171,14 @@ class TestFit:
         bad.write_text("ply\nformat ascii 1.0\nelement vertex 1\nproperty\n"
                        "property float x\nproperty float y\nproperty float z\n"
                        "end_header\n0 0 0\n")
+        assert main(["fit", "--input", str(bad), "--output", str(tmp_path / "o.json")]) == 2
+        assert "line 4" in capsys.readouterr().err
+
+    def test_vertex_list_property_exits_2(self, tmp_path, capsys):
+        bad = tmp_path / "bad.ply"
+        bad.write_text("ply\nformat ascii 1.0\nelement vertex 1\n"
+                       "property list uchar float n\nproperty float x\n"
+                       "property float y\nproperty float z\nend_header\n2 7 8 1 2 3\n")
         assert main(["fit", "--input", str(bad), "--output", str(tmp_path / "o.json")]) == 2
         assert "line 4" in capsys.readouterr().err
 

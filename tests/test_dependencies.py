@@ -1,0 +1,43 @@
+"""sqkit depends on numpy alone: in its imports, its metadata and at run time."""
+
+import ast
+import pathlib
+import re
+import subprocess
+import sys
+
+import pytest
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+ALLOWED = set(sys.stdlib_module_names) | {"numpy"}
+
+
+def _absolute_imports(path):
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.module
+
+
+def test_sources_import_only_stdlib_and_numpy():
+    sources = sorted((ROOT / "src" / "sqkit").glob("*.py"))
+    assert sources
+    for path in sources:
+        for name in _absolute_imports(path):
+            assert name.split(".")[0] in ALLOWED, f"{path.name} imports {name}"
+
+
+def test_project_declares_only_numpy():
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+    with open(ROOT / "pyproject.toml", "rb") as f:
+        dependencies = tomllib.load(f)["project"]["dependencies"]
+    assert [re.match(r"[A-Za-z0-9._-]+", dep).group() for dep in dependencies] == ["numpy"]
+
+
+def test_fresh_import_loads_no_scipy():
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, sqkit, sqkit.cli; print('scipy' in sys.modules)"],
+        capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "False"

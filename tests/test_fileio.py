@@ -215,6 +215,21 @@ class TestPlyErrors:
             sk.parse_ply(text)
         assert err.value.line == 4
 
+    def test_list_property_in_vertex_element(self):
+        # a list spans a count plus that many tokens, so x, y, z have no column
+        text = ("ply\nformat ascii 1.0\nelement vertex 2\nproperty list uchar float n\n"
+                "property float x\nproperty float y\nproperty float z\nend_header\n"
+                "2 7 8 1 2 3\n2 7 8 4 5 6\n")
+        with pytest.raises(sk.ParseError, match="list") as err:
+            sk.parse_ply(text)
+        assert err.value.line == 4
+
+    def test_list_property_in_face_element_is_skipped(self):
+        text = (HEADER.format(n=3).replace("end_header\n", "element face 1\n"
+                "property list uchar int vertex_indices\nend_header\n")
+                + "1 2 3\n0 0 0\n0 1 0\n3 0 1 2\n")
+        npt.assert_array_equal(sk.parse_ply(text), [[1, 2, 3], [0, 0, 0], [0, 1, 0]])
+
     @pytest.mark.parametrize("row_loop", [False, True], ids=["fast", "row_loop"])
     @pytest.mark.parametrize("token", ["nan", "inf", "-inf", "1e39"])
     def test_non_finite_reported_on_its_row_without_warning(self, monkeypatch, token, row_loop):

@@ -3,6 +3,8 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sqkit as sk
 from sqkit.rotations import quat_to_matrix, random_quaternion
@@ -154,6 +156,46 @@ class TestMspd:
         tpl = _template()
         with pytest.raises(ValueError):
             sk.mspd(_pose(), _pose(), tpl, IDENTITY, K)
+
+
+_radii = st.floats(0.03, 0.08)
+_heights = st.floats(0.05, 0.15)
+_eps1 = st.floats(0.1, 1.0)
+_eps2 = st.floats(0.1, 0.9)
+
+
+def _shape(eps1, eps2, ax, ay, az):
+    return sk.Superquadric(eps1, eps2, np.array([ax, ay, az]))
+
+
+# Canonical shapes of each symmetry class: general (order-4 group), square
+# cross-section (order 8) and revolution (72 elements).
+_canonical_shapes = st.one_of(
+    st.builds(_shape, _eps1, _eps2, _radii, _radii, _heights),
+    st.builds(lambda e1, e2, r, h: _shape(e1, e2, r, r, h), _eps1, _eps2, _radii, _heights),
+    st.builds(lambda e1, r, h: _shape(e1, 1.0, r, r, h), _eps1, _radii, _heights),
+)
+_quaternions = st.integers(0, 2**32 - 1).map(
+    lambda seed: random_quaternion(np.random.default_rng(seed)))
+# 0.6-1.0 m in front of the camera.
+_translations = st.tuples(st.floats(-0.1, 0.1), st.floats(-0.1, 0.1), st.floats(0.6, 1.0))
+
+
+class TestSymmetryProperties:
+    """MSSD and MSPD absorb every element of a shape's symmetry group."""
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=60)
+    @given(_canonical_shapes, _quaternions, _translations)
+    def test_every_group_element_is_absorbed(self, sq, q, t):
+        group = sk.symmetry_group(sq)
+        grid = sk.default_grid()
+        category = grid.category(sk.categorize(sq.eps1, sq.eps2, grid))
+        tpl = sk.template_points(category, n=64, dense_n=1024)
+        gt = _pose(quat_to_matrix(q) @ np.diag(sq.scale), t)
+        for S in group.rotations:  # 1e-9 is criterion 07's bound
+            est = sk.PoseHypothesis(gt.matrix @ S, gt.translation)
+            assert sk.mssd(est, gt, tpl, group) <= 1e-9
+            assert sk.mspd(est, gt, tpl, group, K) <= 1e-9
 
 
 class TestAccuracyCurve:
