@@ -8,6 +8,8 @@ in its local frame, posed in the world by a rotation and a translation.
 Point clouds are plain (n, 3) float arrays in meters.
 """
 
+import bisect
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,6 +22,9 @@ EPS_MIN = 0.01
 EPS_MAX = 2.0
 
 _QUAT_NORM_TOL = 1e-9
+
+# Points per block in farthest_point_sample's sorted layout.
+_FPS_BLOCK = 128
 
 
 def as_points(points):
@@ -276,6 +281,19 @@ def farthest_point_sample(points, k, start=0):
 
     The first index is `start`; each subsequent index maximizes the minimum
     squared distance to the already-selected set, ties broken by lowest index.
+    A chosen index is never chosen again, so a cloud with fewer than k
+    distinct points still yields k distinct indices (the duplicates of
+    chosen points, lowest index first).
+
+    Exact: the indices equal those of a pass that updates every distance.
+    Each squared distance is (dx*dx + dy*dy) + dz*dz in float64, the order
+    of a scalar loop. A pick of value v (the largest minimum distance)
+    updates only the points whose coordinate along the axis of largest
+    extent lies within sqrt(v), plus a rounding margin, of the new
+    center's. For any other point, rounding is monotone, so its computed
+    distance is at least its own squared axis difference, which is at
+    least v, which is at least its current minimum: that minimum cannot
+    change. Distances that overflow are inf, without a warning.
     """
     pts = as_points(points)
     n = pts.shape[0]
@@ -285,29 +303,52 @@ def farthest_point_sample(points, k, start=0):
         raise ValueError(f"k must be in [1, {n}], got {k}")
     if not 0 <= start < n:
         raise ValueError(f"start index {start} out of range for {n} points")
-    chosen = np.empty(k, dtype=np.intp)
-    chosen[0] = start
-    # Contiguous columns and preallocated buffers; each distance is summed as
-    # (dx*dx + dy*dy) + dz*dz, the order of a scalar loop, so ties resolve
-    # identically.
-    x, y, z = (np.ascontiguousarray(pts[:, j]) for j in range(3))
-    tmp = np.empty(n)
-
-    def sq_dist(i, out):
-        np.subtract(x, x[i], out=out)
-        np.multiply(out, out, out=out)
-        for col in (y, z):
-            np.subtract(col, col[i], out=tmp)
-            np.multiply(tmp, tmp, out=tmp)
-            np.add(out, tmp, out=out)
-        return out
-
-    d2 = sq_dist(start, np.empty(n))
-    cand = np.empty(n)
-    for m in range(1, k):
-        nxt = int(np.argmax(d2))
-        chosen[m] = nxt
-        np.minimum(d2, sq_dist(nxt, cand), out=d2)
+    B = _FPS_BLOCK
+    nb = -(-n // B)
+    with np.errstate(over="ignore"):
+        # Points stable-sorted along the axis of largest extent, laid out in
+        # nb blocks of B; the last block is padded with the last point at a
+        # distance of -inf, which no pick reaches and no update changes.
+        axis = int(np.argmax(np.ptp(pts, axis=0)))
+        order = np.argsort(pts[:, axis], kind="stable")
+        order = np.pad(order, (0, nb * B - n), mode="edge")
+        xyz = np.take(pts.T, order, axis=1)
+        lo, hi = xyz[axis, ::B].tolist(), xyz[axis, B - 1::B].tolist()
+        d2 = np.full(nb * B, np.inf)
+        d2[n:] = -np.inf
+        blocks = d2.reshape(nb, B)
+        bmax = np.empty(nb)
+        buf = np.empty_like(xyz)
+        chosen = np.empty(k, dtype=np.intp)
+        chosen[0] = start
+        p = int(np.argmax(order == start))
+        v = math.inf
+        for m in range(1, k):
+            # Only blocks whose axis range meets [c - r, c + r] can change;
+            # the margins cover the rounding of r, c - r and c + r.
+            c = float(xyz[axis, p])
+            r = math.sqrt(v) * (1.0 + 1e-9) + 1e-15 * abs(c)
+            b0, b1 = bisect.bisect_left(hi, c - r), bisect.bisect_right(lo, c + r)
+            i0, i1 = b0 * B, b1 * B
+            delta = buf[:, i0:i1]
+            np.subtract(xyz[:, i0:i1], xyz[:, p:p + 1], out=delta)
+            np.multiply(delta, delta, out=delta)
+            dist = delta[0]
+            np.add(dist, delta[1], out=dist)
+            np.add(dist, delta[2], out=dist)
+            seg = d2[i0:i1]
+            np.minimum(seg, dist, out=seg)
+            d2[p] = -np.inf
+            np.maximum.reduce(blocks[b0:b1], axis=1, out=bmax[b0:b1])
+            b = int(bmax.argmax())
+            v = float(bmax[b])
+            row = blocks[b]
+            p = b * B + int(row.argmax())
+            # The first maximum in sorted order; on a tie, the lowest index.
+            if np.count_nonzero(bmax == v) > 1 or np.count_nonzero(row == v) > 1:
+                ties = np.flatnonzero(d2 == v)
+                p = int(ties[order[ties].argmin()])
+            chosen[m] = order[p]
     return chosen
 
 

@@ -54,8 +54,13 @@ def relabel_candidates(sq):
 
 
 def fps_oracle(points, k, start):
-    """Greedy farthest point sampling as plain Python loops."""
-    pts = [tuple(p) for p in np.asarray(points, dtype=float)]
+    """Greedy farthest point sampling as plain Python loops.
+
+    On Python floats (IEEE doubles, as float64), so an overflow is inf
+    without a warning. A chosen index gets a distance of -inf, so it is
+    never chosen again.
+    """
+    pts = np.asarray(points, dtype=float).tolist()
     n = len(pts)
     chosen = [start]
     mindist = [0.0] * n
@@ -64,6 +69,7 @@ def fps_oracle(points, k, start):
         dy = pts[i][1] - pts[start][1]
         dz = pts[i][2] - pts[start][2]
         mindist[i] = (dx * dx + dy * dy) + dz * dz
+    mindist[start] = -math.inf
     for _ in range(1, k):
         best_i = 0
         best_d = mindist[0]
@@ -79,6 +85,26 @@ def fps_oracle(points, k, start):
             d = (dx * dx + dy * dy) + dz * dz
             if d < mindist[i]:
                 mindist[i] = d
+        mindist[best_i] = -math.inf
+    return chosen
+
+
+def fps_full_pass(points, k, start):
+    """Greedy farthest point sampling that updates every distance per pick.
+
+    Vectorized over the points, in the oracle's (dx*dx + dy*dy) + dz*dz
+    order and with its never-re-pick rule; fast enough for large clouds.
+    """
+    pts = np.asarray(points, dtype=float)
+    chosen = [start]
+    with np.errstate(over="ignore"):
+        d2 = np.full(len(pts), np.inf)
+        for _ in range(1, k):
+            d = pts - pts[chosen[-1]]
+            d *= d
+            np.minimum(d2, (d[:, 0] + d[:, 1]) + d[:, 2], out=d2)
+            d2[chosen[-1]] = -np.inf
+            chosen.append(int(np.argmax(d2)))
     return chosen
 
 

@@ -1,11 +1,19 @@
 """Core geometry: implicit function, sampling, FPS, and point transforms."""
 
+import warnings
+from unittest import mock
+
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import sqkit as sk
-from conftest import fps_oracle, inside_outside_oracle, random_superquadric
+from conftest import fps_full_pass, fps_oracle, inside_outside_oracle, random_superquadric
+from sqkit import core
+from sqkit.rotations import random_quaternion
 
 
 def _sphere(radius=1.0):
@@ -213,6 +221,103 @@ class TestFarthestPointSample:
             sk.farthest_point_sample(pts, 2, start=4)
         with pytest.raises(ValueError):
             sk.farthest_point_sample(np.zeros((0, 3)), 1, start=0)
+
+    def test_duplicate_points_give_distinct_indices(self):
+        # a chosen index is never chosen again, even at distance 0
+        pts = np.array([[0.0, 0, 0], [0.0, 0, 0], [1.0, 0, 0]])
+        npt.assert_array_equal(sk.farthest_point_sample(pts, 3, start=0), [0, 2, 1])
+        npt.assert_array_equal(sk.farthest_point_sample(np.zeros((4, 3)), 4, start=2),
+                               [2, 0, 1, 3])
+        assert fps_oracle(pts, 3, 0) == [0, 2, 1]
+        assert fps_oracle(np.zeros((4, 3)), 4, 2) == [2, 0, 1, 3]
+
+    def test_overflowing_distances_same_indices_no_warning(self):
+        # finite coordinates whose squared distances overflow to inf
+        pts = np.array([[1e200, 0, 0], [-1e200, 0, 0], [0, 1e200, 0], [0.0, 0, 0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = sk.farthest_point_sample(pts, 4, start=3)
+        npt.assert_array_equal(got, [3, 0, 1, 2])
+        assert fps_oracle(pts, 4, 3) == [3, 0, 1, 2]
+
+
+class TestFpsReference:
+    """`farthest_point_sample` against a pass that updates every distance."""
+
+    def test_full_pass_matches_oracle(self):
+        rng = np.random.default_rng(31)
+        for i in range(30):
+            n = int(rng.integers(1, 80))
+            if i % 2:
+                pts = rng.integers(-2, 3, size=(n, 3)).astype(float)
+            else:
+                pts = rng.normal(size=(n, 3))
+            k = int(rng.integers(1, n + 1))
+            start = int(rng.integers(n))
+            assert fps_full_pass(pts, k, start) == fps_oracle(pts, k, start)
+
+    def test_elongated_surface_clouds(self):
+        rng = np.random.default_rng(32)
+        for i in range(6):
+            scale = np.array([rng.uniform(0.02, 0.04), rng.uniform(0.03, 0.06),
+                              rng.uniform(0.1, 0.2)])
+            sq = sk.Superquadric(rng.uniform(0.1, 1.0), rng.uniform(0.1, 0.9), scale,
+                                 random_quaternion(rng), rng.uniform(-0.1, 0.1, 3) + [0, 0, 0.8])
+            pts = sk.sample_surface(sq, 20000, seed=i)
+            npt.assert_array_equal(sk.farthest_point_sample(pts, 512, start=0),
+                                   fps_full_pass(pts, 512, 0))
+
+    def test_default_grid_templates(self):
+        for category in sk.default_grid().categories():
+            unit = sk.Superquadric(max(category.eps1, sk.EPS_MIN),
+                                   max(category.eps2, sk.EPS_MIN), np.ones(3))
+            dense = sk.sample_surface(unit, 8192, seed=0)
+            ref = fps_full_pass(dense, 512, 0)
+            npt.assert_array_equal(sk.farthest_point_sample(dense, 512, start=0), ref)
+            npt.assert_array_equal(sk.template_points(category), dense[ref])
+
+    def test_every_point_of_a_cloud(self):
+        pts = np.random.default_rng(33).normal(size=(2000, 3))
+        npt.assert_array_equal(sk.farthest_point_sample(pts, 2000, start=17),
+                               fps_full_pass(pts, 2000, 17))
+
+
+@st.composite
+def fps_cases(draw):
+    """A cloud of 1-300 points, k and start."""
+    n = draw(st.integers(1, 300))
+    kind = draw(st.sampled_from(("lattice", "repeated", "far", "mixed")))
+    if kind == "lattice":
+        pts = draw(hnp.arrays(np.int64, (n, 3), elements=st.integers(-3, 3))).astype(float)
+    elif kind == "repeated":
+        base = draw(hnp.arrays(float, (draw(st.integers(1, 8)), 3),
+                               elements=st.floats(-1.0, 1.0)))
+        pts = base[draw(hnp.arrays(np.intp, n, elements=st.integers(0, len(base) - 1)))]
+    elif kind == "far":
+        pts = 1e4 + draw(hnp.arrays(float, (n, 3), elements=st.floats(-1e-3, 1e-3)))
+    else:
+        mantissa = draw(hnp.arrays(float, (n, 3), elements=st.floats(-1.0, 1.0)))
+        exponent = draw(hnp.arrays(np.int64, (n, 1), elements=st.integers(-8, 8)))
+        pts = mantissa * 10.0 ** exponent
+    # Drawn from k = n down: the picks for k are the first k of those for n.
+    k = n - draw(st.integers(0, n - 1))
+    start = draw(st.integers(0, n - 1))
+    return pts, k, start
+
+
+class TestFpsProperties:
+    """FPS equals the scalar oracle on tie-heavy and ill-scaled clouds."""
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=300)
+    @given(fps_cases())
+    def test_matches_oracle_with_distinct_indices(self, case):
+        pts, k, start = case
+        expected = fps_oracle(pts, k, start)
+        assert len(set(expected)) == k
+        # small blocks give small clouds many blocks, as large clouds have
+        for block in (1, 3, 16, core._FPS_BLOCK):
+            with mock.patch.object(core, "_FPS_BLOCK", block):
+                assert list(sk.farthest_point_sample(pts, k, start)) == expected
 
 
 # ---------------------------------------------------------------------------
