@@ -23,6 +23,8 @@ EPS_MAX = 2.0
 
 _QUAT_NORM_TOL = 1e-9
 
+_FLOAT_MIN = np.finfo(float).min
+
 # Points per block in farthest_point_sample's sorted layout.
 _FPS_BLOCK = 128
 
@@ -112,36 +114,72 @@ def _apply_linear(M, pts):
     points. Each output column is built from the x, y, z slices, so no
     inner loop runs over an axis of length 3.
     """
-    x, y, z = pts[..., 0], pts[..., 1], pts[..., 2]
-    cols = []
+    return np.stack(_linear_rows(M, pts[..., 0], pts[..., 1], pts[..., 2]), axis=-1)
+
+
+def _linear_rows(M, x, y, z):
+    """The three coordinates of M @ p as separate arrays, in `_apply_linear`'s order."""
+    rows = []
     for j in range(3):
-        col = x * M[..., j, 0, None]
-        col += y * M[..., j, 1, None]
-        col += z * M[..., j, 2, None]
-        cols.append(col)
-    return np.stack(cols, axis=-1)
+        row = x * M[..., j, 0, None]
+        row += y * M[..., j, 1, None]
+        row += z * M[..., j, 2, None]
+        rows.append(row)
+    return rows
 
 
 def _signed_pow(base, exponent):
     return np.sign(base) * np.abs(base) ** exponent
 
 
-def _log_inside_outside(eps1, eps2, scale, local):
-    """log F at (n, 3) local-frame points, with the terms it is built from.
+def _logaddexp_pair(a, b):
+    """log(e^a + e^b), the weights e^a and e^b over that sum, and their entropy.
 
-    Returns (log F, lx, ly, lz, lxy, lplane): lx = (2/eps2) log(|x|/ax), ly
-    and lz likewise (lz with 2/eps1), lxy = logaddexp(lx, ly), lplane =
-    (eps2/eps1) lxy and log F = logaddexp(lplane, lz). It stays finite far
-    from the surface and is -inf only at the center.
+    One exp and one log1p per element: with hi = max(a, b) and
+    d = min(a, b) - hi <= 0, t = e^d, the sum is hi + log1p(t), the larger
+    term's weight 1/(1 + t), the smaller's t/(1 + t), and the entropy
+    -(wa log wa + wb log wb) = log1p(t) - w_small d. A term at -inf has
+    weight 0, adds 0 to the entropy and leaves the sum at the other term
+    exactly; where both are -inf, d is taken as 0 (fmin drops the NaN of
+    -inf - -inf), so the sum is -inf and the weights are 1/2 each. A
+    difference that overflows is -inf. Returns (sum, wa, wb, entropy).
+    """
+    hi = np.maximum(a, b)
+    with np.errstate(invalid="ignore", over="ignore"):
+        d = np.fmin(np.minimum(a, b) - hi, 0.0)
+    # e^d is 0 below about -745 either way; the floor keeps w_small d at 0,
+    # not 0 * -inf, for a term at -inf.
+    np.maximum(d, _FLOAT_MIN, out=d)
+    t = np.exp(d)
+    lsum = np.log1p(t)
+    w_hi = 1.0 / (1.0 + t)
+    w_lo = t * w_hi
+    a_hi = a >= b
+    entropy = lsum - w_lo * d
+    lsum += hi
+    return lsum, np.where(a_hi, w_hi, w_lo), np.where(a_hi, w_lo, w_hi), entropy
+
+
+def _log_inside_outside(eps1, eps2, scale, local):
+    """log F at local-frame points, with the weights of the sums it is built from.
+
+    `local` holds the coordinate rows x, y, z (a (3, n) array or the
+    transpose of an (n, 3) one). With lx = (2/eps2) log(|x|/ax), ly and lz
+    likewise (lz with 2/eps1), lxy = logaddexp(lx, ly) and
+    log F = logaddexp((eps2/eps1) lxy, lz), returns (log F, wx, wy, h_xy,
+    u, v, h_f): the weights and entropy of the inner sum, then those of the
+    outer one (`_logaddexp_pair`). log F stays finite far from the surface
+    and is -inf only at the center.
     """
     ax, ay, az = scale
+    x, y, z = local
     with np.errstate(divide="ignore"):
-        lx = (2.0 / eps2) * np.log(np.abs(local[:, 0]) / ax)
-        ly = (2.0 / eps2) * np.log(np.abs(local[:, 1]) / ay)
-        lz = (2.0 / eps1) * np.log(np.abs(local[:, 2]) / az)
-    lxy = np.logaddexp(lx, ly)
-    lplane = (eps2 / eps1) * lxy
-    return np.logaddexp(lplane, lz), lx, ly, lz, lxy, lplane
+        lx = (2.0 / eps2) * np.log(np.abs(x) / ax)
+        ly = (2.0 / eps2) * np.log(np.abs(y) / ay)
+        lz = (2.0 / eps1) * np.log(np.abs(z) / az)
+    lxy, wx, wy, h_xy = _logaddexp_pair(lx, ly)
+    logf, u, v, h_f = _logaddexp_pair((eps2 / eps1) * lxy, lz)
+    return logf, wx, wy, h_xy, u, v, h_f
 
 
 def inside_outside(sq, points):
@@ -155,75 +193,64 @@ def inside_outside(sq, points):
     single = np.asarray(points).ndim == 1
     pts = as_points(points)
     with np.errstate(over="ignore"):
-        f = np.exp(_log_inside_outside(sq.eps1, sq.eps2, sq.scale, pts)[0])
+        f = np.exp(_log_inside_outside(sq.eps1, sq.eps2, sq.scale, pts.T)[0])
     return float(f[0]) if single else f
 
 
-def _softmax_pair(la, lb, lsum):
-    """Weights exp(la - lsum), exp(lb - lsum) of a logaddexp, and their entropy.
-
-    A term at -inf gets weight 0 and adds 0 to the entropy (0 log 0 = 0);
-    both weights are 0 where lsum itself is -inf.
-    """
-    with np.errstate(invalid="ignore"):
-        ta = la - lsum
-        tb = lb - lsum
-        wa = np.exp(ta)
-        wb = np.exp(tb)
-        entropy = -(np.where(wa > 0.0, wa * ta, 0.0) + np.where(wb > 0.0, wb * tb, 0.0))
-    return np.where(wa > 0.0, wa, 0.0), np.where(wb > 0.0, wb, 0.0), entropy
-
-
 def _radial_residual(eps1, eps2, scale, local, jacobian=False):
-    """Radial residual r * |1 - F^(-eps1/2)| of (n, 3) local-frame points.
+    """Radial residual r * |1 - F^(-eps1/2)| at local-frame coordinate rows.
 
-    F is evaluated in log form (`_log_inside_outside`); the center, where
-    log F is -inf, has its residual reported as min(scale).
+    `local` holds the rows x, y, z, as `_log_inside_outside` takes them; F
+    is evaluated in that log form, and the center, where log F is -inf, has
+    its residual reported as min(scale).
 
     With `jacobian`, also returns the closed-form derivatives of each
-    residual: an (n, 5) array with respect to (eps1, eps2, ax, ay, az) and an
-    (n, 3) array with respect to the local coordinates. They follow the chain
-    rule through both logaddexps, whose partial derivatives are softmax
-    weights. A coordinate at 0 has weight 0 and its term drops out (the
-    derivative for eps < 2, a subgradient at eps = 2). Rows at the center and
-    on the surface itself (the kink of |1 - F^(-eps1/2)|) are 0.
+    residual as rows: a (5, n) array with respect to (eps1, eps2, ax, ay,
+    az) and a (3, n) array with respect to the local coordinates. They
+    follow the chain rule through both log-sum-exps, whose partial
+    derivatives are their weights. A coordinate at 0 has weight 0 and its
+    term drops out (the derivative for eps < 2, a subgradient at eps = 2).
+    Columns at the center and on the surface itself (the kink of
+    |1 - F^(-eps1/2)|) are 0.
     """
     ax, ay, az = scale
-    x, y, z = local[:, 0], local[:, 1], local[:, 2]
-    logf, lx, ly, lz, lxy, lplane = _log_inside_outside(eps1, eps2, scale, local)
+    x, y, z = local
+    logf, wx, wy, h_xy, u, v, h_f = _log_inside_outside(eps1, eps2, scale, local)
     r = np.sqrt((x * x + y * y) + z * z)
     center = r == 0.0
-    with np.errstate(invalid="ignore", over="ignore"):
+    has_center = bool(center.any())
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         e = np.exp(-0.5 * eps1 * logf)
         gap = 1.0 - e
         res = r * np.abs(gap)
-    res = np.where(center, min(ax, ay, az), res)
-    if not jacobian:
-        return res
+        if has_center:
+            res[center] = min(ax, ay, az)
+        if not jacobian:
+            return res
 
-    wx, wy, h_xy = _softmax_pair(lx, ly, lxy)
-    u, v, h_f = _softmax_pair(lplane, lz, logf)
-    with np.errstate(invalid="ignore", over="ignore"):
+        deriv = np.empty((8, res.shape[0]))
         # d res = |gap| dr + 0.5 c d(eps1 log F) with c = r sign(gap) E, and
         # eps1 log F moves with eps1 by the entropy h_f of (u, v), with eps2
         # by u h_xy, with log|x| by 2 u wx (likewise y) and log|z| by 2 v.
         c = r * np.sign(gap) * e
-        cux = c * u * wx
-        cuy = c * u * wy
+        cu = c * u
+        cux = cu * wx
+        cuy = cu * wy
         cv = c * v
-        d_shape = np.stack([
-            0.5 * c * h_f,
-            0.5 * c * u * h_xy,
-            -cux / ax,
-            -cuy / ay,
-            -cv / az,
-        ], axis=1)
-        d_local = np.abs(gap)[:, None] * local / r[:, None]
-        for j, (cw, coord) in enumerate(((cux, x), (cuy, y), (cv, z))):
-            d_local[:, j] += np.divide(cw, coord, out=np.zeros_like(cw), where=coord != 0.0)
-    d_shape[center] = 0.0
-    d_local[center] = 0.0
-    return res, d_shape, d_local
+        half_c = 0.5 * c
+        np.multiply(half_c, h_f, out=deriv[0])
+        np.multiply(half_c * u, h_xy, out=deriv[1])
+        np.divide(cux, -ax, out=deriv[2])
+        np.divide(cuy, -ay, out=deriv[3])
+        np.divide(cv, -az, out=deriv[4])
+        abs_gap = np.abs(gap)
+        for row, cw, coord in zip(deriv[5:8], (cux, cuy, cv), (x, y, z)):
+            np.multiply(abs_gap, coord, out=row)
+            row /= r
+            np.add(row, cw / coord, out=row, where=coord != 0.0)
+    if has_center:
+        deriv[:, center] = 0.0
+    return res, deriv[:5], deriv[5:]
 
 
 def radial_distance(sq, points):
@@ -234,8 +261,7 @@ def radial_distance(sq, points):
     the true Euclidean distance in general. A point exactly at the center is
     reported at min(scale).
     """
-    pts = sq.world_to_local(as_points(points))
-    return _radial_residual(sq.eps1, sq.eps2, sq.scale, pts)
+    return _radial_residual(sq.eps1, sq.eps2, sq.scale, sq.world_to_local(points).T)
 
 
 def sample_surface(sq, n, seed=0):

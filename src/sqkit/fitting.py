@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import EPS_MIN, EPS_MAX, Superquadric, _apply_linear, _radial_residual, as_points
+from .core import EPS_MIN, EPS_MAX, Superquadric, _linear_rows, _radial_residual, as_points
 from .rotations import matrix_to_quat, quat_from_rotvec, quat_mul, quat_normalize, quat_to_matrix
 
 
@@ -74,6 +74,9 @@ class FitConfig:
 class StartDiagnostic:
     """Per-start record: where it began, where it ended, and why it stopped.
 
+    evaluations counts the start's kernel calls (residuals and Jacobian
+    together): one at the start, then one per trial step, accepted or not.
+
     stop_reason is one of:
         "rel_drop": an accepted step cut the objective by at most
             convergence_tol, relative;
@@ -86,6 +89,7 @@ class StartDiagnostic:
     initial: Superquadric
     rms_residual: float
     iterations: int
+    evaluations: int
     stop_reason: str
     objective_history: tuple
 
@@ -118,16 +122,25 @@ def _residuals(x, q, pts):
     The Jacobian comes from the kernel's closed-form derivatives. The
     rotation columns hold the derivative at that zero increment, where
     d local / d theta_k = local x e_k, so they are g x local for the kernel's
-    local-coordinate gradient g; the translation columns are -R g.
+    local-coordinate gradient g; the translation columns are -R g. The
+    coordinates are worked on as contiguous rows, and the Jacobian is the
+    transpose of an (11, n) array filled row by row.
     """
     rot = quat_to_matrix(q)
-    local = _apply_linear(rot.T, pts - x[8:11])
-    res, d_shape, grad_local = _radial_residual(x[0], x[1], x[2:5], local, jacobian=True)
-    jac = np.empty((res.shape[0], _N_PARAMS))
-    jac[:, 0:5] = d_shape
-    jac[:, 5:8] = np.cross(grad_local, local)
-    jac[:, 8:11] = -_apply_linear(rot, grad_local)
-    return res, jac
+    local = _linear_rows(rot.T, *(pts[:, j] - x[8 + j] for j in range(3)))
+    res, d_shape, (gx, gy, gz) = _radial_residual(x[0], x[1], x[2:5], local, jacobian=True)
+    lx, ly, lz = local
+    jac = np.empty((_N_PARAMS, res.shape[0]))
+    jac[0:5] = d_shape
+    # g x local in np.cross's arithmetic, then -R g
+    np.multiply(gy, lz, out=jac[5])
+    jac[5] -= gz * ly
+    np.multiply(gz, lx, out=jac[6])
+    jac[6] -= gx * lz
+    np.multiply(gx, ly, out=jac[7])
+    jac[7] -= gy * lx
+    jac[8:11] = _linear_rows(-rot, gx, gy, gz)
+    return res, jac.T
 
 
 def _objective(res, huber_scale):
@@ -139,8 +152,6 @@ def _objective(res, huber_scale):
 
 
 def _huber_weights(res, huber_scale):
-    if huber_scale <= 0:
-        return np.ones_like(res)
     a = np.abs(res)
     w = np.ones_like(res)
     mask = a > huber_scale
@@ -169,14 +180,16 @@ def _optimize_start(pts, start, config):
     q = np.array(start.rotation)
     x = _project(_pack(start))
     res, jac = _residuals(x, q, pts)
+    evaluations = 1
     obj = _objective(res, config.noise_scale)
     history = [obj]
     lam = 1e-3
     stop_reason = "budget"
     iterations = 0
     for _ in range(int(config.max_iterations)):
-        w = _huber_weights(res, config.noise_scale)
-        jac_w = jac * w[:, None]
+        jac_w = jac
+        if config.noise_scale > 0:
+            jac_w = jac * _huber_weights(res, config.noise_scale)[:, None]
         grad = jac_w.T @ res
         hess = jac_w.T @ jac
         damp = np.maximum(np.diag(hess), 1e-12)
@@ -193,6 +206,7 @@ def _optimize_start(pts, start, config):
             q_new = quat_normalize(quat_mul(q, quat_from_rotvec(x_new[5:8])))
             x_new[5:8] = 0.0
             res_new, jac_new = _residuals(x_new, q_new, pts)
+            evaluations += 1
             obj_new = _objective(res_new, config.noise_scale)
             if np.isfinite(obj_new) and obj_new < obj:
                 accepted = True
@@ -217,7 +231,7 @@ def _optimize_start(pts, start, config):
             break
     params = _unpack(x, q)
     rms = float(np.sqrt(np.mean(res * res)))
-    return params, rms, iterations, stop_reason, tuple(history)
+    return params, rms, iterations, evaluations, stop_reason, tuple(history)
 
 
 def initial_guesses(points, k, seed=0):
@@ -323,9 +337,9 @@ def fit(points, config=None):
     diagnostics = []
     best = None
     for idx, start in enumerate(starts):
-        params, rms, iters, stop_reason, history = _optimize_start(pts, start, config)
+        params, rms, iters, evals, stop_reason, history = _optimize_start(pts, start, config)
         diag = StartDiagnostic(
-            initial=start, rms_residual=rms, iterations=iters,
+            initial=start, rms_residual=rms, iterations=iters, evaluations=evals,
             stop_reason=stop_reason, objective_history=history,
         )
         diagnostics.append(diag)

@@ -12,6 +12,7 @@ from pathlib import Path
 import numpy as np
 
 from sqkit import EPS_MIN, Superquadric
+from sqkit.core import _apply_linear
 from sqkit.rotations import (quat_from_axis_angle, quat_from_rotvec, quat_mul, quat_to_matrix,
                              random_quaternion)
 
@@ -270,3 +271,71 @@ def fd_jacobian_oracle(x, q_ref, pts):
         probes[2 * i + 1, i] -= steps[i]
     res = _batch_radial_residuals(probes, q_ref, pts)
     return (res[0::2] - res[1::2]).T / (2.0 * steps)
+
+
+def _softmax_pair(la, lb, lsum):
+    """Weights exp(la - lsum), exp(lb - lsum) of a logaddexp, and their entropy.
+
+    A term at -inf gets weight 0 and adds 0 to the entropy (0 log 0 = 0);
+    both weights are 0 where lsum itself is -inf.
+    """
+    with np.errstate(invalid="ignore"):
+        ta = la - lsum
+        tb = lb - lsum
+        wa = np.exp(ta)
+        wb = np.exp(tb)
+        entropy = -(np.where(wa > 0.0, wa * ta, 0.0) + np.where(wb > 0.0, wb * tb, 0.0))
+    return np.where(wa > 0.0, wa, 0.0), np.where(wb > 0.0, wb, 0.0), entropy
+
+
+def radial_residual_reference(x, q, pts):
+    """Radial residuals and their (n, 11) Jacobian, as `fitting._residuals` returns them.
+
+    The earlier formulation of the kernel, on (n, 3) points: two
+    np.logaddexp calls, then the weights and entropies recomputed from
+    their results by `_softmax_pair`, np.cross for the rotation columns and
+    `_apply_linear` for the local points and the translation columns.
+    """
+    rot = quat_to_matrix(q)
+    local = _apply_linear(rot.T, pts - x[8:11])
+    eps1, eps2 = x[0], x[1]
+    ax, ay, az = x[2:5]
+    xs, ys, zs = local[:, 0], local[:, 1], local[:, 2]
+    with np.errstate(divide="ignore"):
+        lx = (2.0 / eps2) * np.log(np.abs(xs) / ax)
+        ly = (2.0 / eps2) * np.log(np.abs(ys) / ay)
+        lz = (2.0 / eps1) * np.log(np.abs(zs) / az)
+    lxy = np.logaddexp(lx, ly)
+    lplane = (eps2 / eps1) * lxy
+    logf = np.logaddexp(lplane, lz)
+    r = np.sqrt((xs * xs + ys * ys) + zs * zs)
+    center = r == 0.0
+    with np.errstate(invalid="ignore", over="ignore"):
+        e = np.exp(-0.5 * eps1 * logf)
+        gap = 1.0 - e
+        res = r * np.abs(gap)
+    res = np.where(center, min(ax, ay, az), res)
+    wx, wy, h_xy = _softmax_pair(lx, ly, lxy)
+    u, v, h_f = _softmax_pair(lplane, lz, logf)
+    with np.errstate(invalid="ignore", over="ignore"):
+        c = r * np.sign(gap) * e
+        cux = c * u * wx
+        cuy = c * u * wy
+        cv = c * v
+        d_shape = np.stack([
+            0.5 * c * h_f,
+            0.5 * c * u * h_xy,
+            -cux / ax,
+            -cuy / ay,
+            -cv / az,
+        ], axis=1)
+        d_local = np.abs(gap)[:, None] * local / r[:, None]
+        for j, (cw, coord) in enumerate(((cux, xs), (cuy, ys), (cv, zs))):
+            d_local[:, j] += np.divide(cw, coord, out=np.zeros_like(cw), where=coord != 0.0)
+    d_shape[center] = 0.0
+    d_local[center] = 0.0
+    jac = np.empty((res.shape[0], 11))
+    jac[:, 0:5] = d_shape
+    jac[:, 5:8] = np.cross(d_local, local)
+    jac[:, 8:11] = -_apply_linear(rot, d_local)
+    return res, jac

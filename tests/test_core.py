@@ -141,6 +141,59 @@ class TestInsideOutsideOracle:
         npt.assert_allclose(sk.inside_outside(sq, [100.0, 0.0, 0.0]), 100.0, rtol=1e-12)
 
 
+_LSE_VALUES = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                        st.sampled_from([1e300, -1e300, -np.inf]))
+
+
+@st.composite
+def lse_pairs(draw):
+    """Two equal-length arrays of finite values, +-1e300 and -inf."""
+    n = draw(st.integers(1, 40))
+    a = draw(hnp.arrays(float, n, elements=_LSE_VALUES))
+    # every third pair close together, where the weights are near 1/2
+    b = draw(hnp.arrays(float, n, elements=_LSE_VALUES))
+    near = draw(hnp.arrays(float, n, elements=st.floats(-1e-3, 1e-3)))
+    b[::3] = np.where(np.isfinite(a[::3]), a[::3] + near[::3], b[::3])
+    return a, b
+
+
+class TestLogaddexpPair:
+    """`core._logaddexp_pair`: the value, weights and entropy from one exp."""
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=400)
+    @given(lse_pairs())
+    def test_properties(self, pair):
+        a, b = pair
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            lsum, wa, wb, h = core._logaddexp_pair(a, b)
+            swapped = core._logaddexp_pair(b, a)
+        # the value: np.logaddexp's formula, with exp and log1p that may
+        # round differently by an ulp; within 1 ulp of max(|value|, 1),
+        # since the sum can cancel to near 0 only from terms below 1
+        with np.errstate(over="ignore"):
+            ref = np.logaddexp(a, b)
+            ulp = np.spacing(np.maximum(np.abs(ref), 1.0))
+        npt.assert_array_equal(np.isneginf(lsum), np.isneginf(ref))
+        fin = np.isfinite(ref)
+        assert np.all(np.abs(lsum[fin] - ref[fin]) <= ulp[fin])
+        assert np.all((wa >= 0.0) & (wa <= 1.0) & (wb >= 0.0) & (wb <= 1.0))
+        assert np.all(np.abs(wa + wb - 1.0) <= np.spacing(1.0))
+        # the entropy peaks at ln 2 where t = 1; near there, rounding can
+        # put it one ulp above
+        assert np.all((h >= 0.0) & (h <= np.log(2.0) + np.spacing(np.log(2.0))))
+        npt.assert_array_equal(swapped[0], lsum)
+        npt.assert_array_equal(swapped[1], wb)
+        npt.assert_array_equal(swapped[2], wa)
+        npt.assert_array_equal(swapped[3], h)
+        for lo, other, w_lo, w_other in ((a, b, wa, wb), (b, a, wb, wa)):
+            one = np.isneginf(lo) & ~np.isneginf(other)
+            npt.assert_array_equal(lsum[one], other[one])
+            assert np.all(w_lo[one] == 0.0) and np.all(w_other[one] == 1.0)
+            assert np.all(h[one] == 0.0)
+        assert np.all(np.isneginf(lsum[np.isneginf(a) & np.isneginf(b)]))
+
+
 # ---------------------------------------------------------------------------
 # sample_surface
 # ---------------------------------------------------------------------------

@@ -1,6 +1,8 @@
 """Fitting: residuals and their Jacobian, moment-based initialization, stop
 reasons, and recovery round trips."""
 
+import itertools
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -8,7 +10,8 @@ import pytest
 import sqkit as sk
 from sqkit.rotations import quat_to_matrix, random_quaternion
 from sqkit import fitting
-from conftest import fd_jacobian_oracle, random_superquadric, relabel_candidates
+from conftest import (fd_jacobian_oracle, radial_residual_reference, random_superquadric,
+                      relabel_candidates)
 
 
 def _unit_sphere():
@@ -85,6 +88,110 @@ class TestAnalyticJacobian:
         assert np.all(jac[4] == 0.0)
         npt.assert_allclose(jac[:4], oracle[:4], rtol=0.0,
                             atol=self.BOUND * np.max(np.abs(oracle[:4])))
+
+
+# Points on the local axes, on the coordinate planes and at the center of
+# an unposed superquadric with scales `_AXES_SQ_SCALE`.
+_AXES_SQ_SCALE = np.array([0.03, 0.05, 0.08])
+_AXES_PTS = np.array([
+    [0.0, 0.02, 0.03],   # x = 0
+    [0.03, 0.0, 0.04],   # y = 0
+    [0.02, 0.04, 0.0],   # z = 0
+    [0.06, 0.0, 0.0],    # on the x axis
+    [0.0, -0.07, 0.0],   # on the y axis
+    [0.0, 0.0, 0.05],    # on the z axis
+    [0.0, 0.0, 0.0],     # the center
+])
+
+
+def _fit_pairs():
+    """The 140 (cloud, parameters) pairs of the Jacobian tests: 20 noisy clouds,
+    each with its true shape and its six initial guesses."""
+    for i in range(20):
+        true = random_superquadric(np.random.default_rng(400 + i))
+        cloud = sk.gen_synthetic(true, sk.GenConfig(n_points=2000, noise_sigma=1e-3, seed=i))
+        for sq in [true] + sk.initial_guesses(cloud, sk.FitConfig().multistart):
+            yield cloud, sq
+
+
+class TestKernelReference:
+    """`_residuals` against the two-logaddexp formulation it replaced,
+    `radial_residual_reference`."""
+
+    # Worst column-relative deviation allowed, over the residuals and the 11
+    # Jacobian columns: per column, the largest |kernel - reference| divided
+    # by the largest |reference| entry. Over the 140 pairs below it measured
+    # 9.9e-14, in the rotation columns at sphere-like starts, where the
+    # gradient is nearly radial and g x local cancels; elsewhere a few ulps.
+    BOUND = 1e-12
+
+    @staticmethod
+    def _deviation(sq, pts):
+        x = fitting._pack(sq)
+        q = np.array(sq.rotation)
+        got = np.column_stack(fitting._residuals(x, q, pts))
+        want = np.column_stack(radial_residual_reference(x, q, pts))
+        assert np.all(np.isfinite(want))
+        err = np.max(np.abs(got - want), axis=0)
+        scale = np.max(np.abs(want), axis=0)
+        # a column the reference has at 0 throughout must be 0 here too
+        return float(np.max(np.divide(err, scale, out=err.copy(), where=scale > 0.0)))
+
+    def test_matches_reference_on_fit_pairs(self):
+        worst = max(self._deviation(sq, cloud) for cloud, sq in _fit_pairs())
+        assert worst <= self.BOUND, f"worst column-relative deviation {worst:.3g}"
+
+    # The exponents of the Jacobian tests. At eps 0.01 against 2 the
+    # reference itself is off: its entropy is w log w of a difference
+    # from log F, and a weight below an ulp of log F loses its digits
+    # (2.7e-2 relative in a column of size 1e-16 on the plane z = 0, where
+    # a 50-digit evaluation agrees with the kernel to 1.5e-15).
+    @pytest.mark.parametrize("eps", [(0.1, 0.1), (0.4, 0.7), (1.0, 1.0), (1.9, 1.9)])
+    def test_matches_reference_on_axes_planes_center(self, eps):
+        sq = sk.Superquadric(*eps, _AXES_SQ_SCALE)
+        assert self._deviation(sq, _AXES_PTS) <= self.BOUND
+
+
+class TestKernelWarnings:
+    """The kernel behind `_residuals`, `radial_distance` and `inside_outside`
+    raises no floating-point warning on axes, planes, the center or far out."""
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("eps", list(itertools.product((sk.EPS_MIN, 0.1, 1.0, 2.0),
+                                                           repeat=2)))
+    def test_no_warnings(self, eps):
+        sq = sk.Superquadric(*eps, _AXES_SQ_SCALE)
+        far = 1e3 * np.array([[1.0, 1.0, 1.0], [-1.0, 0.5, 0.0], [0.0, 0.0, -1.0]])
+        pts = np.vstack([_AXES_PTS, far * _AXES_SQ_SCALE])
+        res, jac = fitting._residuals(fitting._pack(sq), np.array(sq.rotation), pts)
+        assert np.all(np.isfinite(res)) and np.all(np.isfinite(jac))
+        assert np.all(jac[6] == 0.0)
+        npt.assert_array_equal(sk.radial_distance(sq, pts), res)
+        f = sk.inside_outside(sq, pts)
+        assert f[6] == 0.0 and np.all(f[:6] > 0.0)
+
+
+class TestEvaluations:
+    """`StartDiagnostic.evaluations` counts every `_residuals` call."""
+
+    @pytest.mark.parametrize("config", [{}, {"convergence_tol": 1e-300},
+                                        {"noise_scale": 2e-3}, {"max_iterations": 2}])
+    def test_sum_equals_kernel_calls(self, monkeypatch, config):
+        calls = []
+        kernel = fitting._residuals
+
+        def counted(*args):
+            calls.append(None)
+            return kernel(*args)
+
+        monkeypatch.setattr(fitting, "_residuals", counted)
+        true = random_superquadric(np.random.default_rng(11))
+        cloud = sk.gen_synthetic(true, sk.GenConfig(n_points=800, noise_sigma=1e-3, seed=5))
+        out = sk.fit(cloud, sk.FitConfig(multistart=3, **config))
+        assert sum(d.evaluations for d in out.start_diagnostics) == len(calls)
+        for d in out.start_diagnostics:
+            # the start's own call, then at least one trial per accepted step
+            assert d.evaluations >= 1 + d.iterations
 
 
 class TestStopReason:
