@@ -1,10 +1,12 @@
 """Command-line interface: fit, sample, canon, eval, gen, grid.
 
-Exit codes: 0 success, 1 usage error (including a non-finite number flag),
-2 parse/format error (including an input that cannot be read or an output
-that cannot be written), 3 numerical failure (non-convergence, degenerate
-input, a cloud beyond the float32 range of PLY coordinates). Diagnostics go
-to stderr.
+Exit codes: 0 success; 1 usage error (a bad flag value, such as text, nan, inf
+or a negative --seed; grid without --list; sample --fps above --n; a gen
+whose --visible keeps no point of --n); 2 parse/format error (including an
+input that cannot be read or an output that cannot be written); 3 numerical
+failure (non-convergence, degenerate input, a cloud beyond the float32 range
+of PLY coordinates, eval --intrinsics with a template point at or behind the
+camera). Diagnostics go to stderr.
 """
 
 import argparse
@@ -67,56 +69,29 @@ def _load_params(path):
     return parse_params(_read(path))
 
 
-def _positive_int(text):
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError("must be >= 1")
-    return value
+def _flag(convert, rule, ok):
+    """Flag type: `convert` the text, then require `ok(value)`, else a usage error."""
+    def parse(text):
+        try:
+            value = convert(text)
+        except ValueError:
+            noun = "an integer" if convert is int else "a number"
+            raise argparse.ArgumentTypeError(f"not {noun}: {text!r}") from None
+        if not ok(value):
+            raise argparse.ArgumentTypeError(rule)
+        return value
+    return parse
 
 
-def _thresholds(text):
-    try:
-        values = [float(tok) for tok in text.split(",") if tok.strip()]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"bad threshold list: {text!r}") from None
-    if not values:
-        raise argparse.ArgumentTypeError("threshold list is empty")
-    if not all(map(math.isfinite, values)):
-        raise argparse.ArgumentTypeError("thresholds must be finite")
-    if any(b < a for a, b in zip(values, values[1:])):
-        raise argparse.ArgumentTypeError("thresholds must be ascending")
-    return values
-
-
-def _fraction(text):
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
-    if not 0.0 < value <= 1.0:
-        raise argparse.ArgumentTypeError("must lie in (0, 1]")
-    return value
-
-
-def _nonnegative_float(text):
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
-    if not 0.0 <= value < math.inf:
-        raise argparse.ArgumentTypeError("must be finite and >= 0")
-    return value
-
-
-def _template_size(text):
-    value = _positive_int(text)
-    if value > DENSE_SAMPLE_SIZE:
-        raise argparse.ArgumentTypeError(
-            f"must be <= {DENSE_SAMPLE_SIZE}, the template's dense sample size")
-    return value
+_positive_int = _flag(int, "must be >= 1", lambda v: v >= 1)
+_nonnegative_int = _flag(int, "must be >= 0", lambda v: v >= 0)
+_fraction = _flag(float, "must lie in (0, 1]", lambda v: 0.0 < v <= 1.0)
+_nonnegative_float = _flag(float, "must be finite and >= 0", lambda v: 0.0 <= v < math.inf)
+_template_size = _flag(int, f"must lie in [1, {DENSE_SAMPLE_SIZE}], the dense sample size",
+                       lambda v: 1 <= v <= DENSE_SAMPLE_SIZE)
+_thresholds = _flag(lambda text: [float(tok) for tok in text.split(",") if tok.strip()],
+                    "must be a non-empty ascending list of finite numbers",
+                    lambda v: v and all(map(math.isfinite, v)) and v == sorted(v))
 
 
 def _pose_from_record(record):
@@ -214,16 +189,18 @@ def _cmd_eval(args):
 
 
 def _cmd_gen(args):
+    try:
+        cfg = GenConfig(n_points=args.n, noise_sigma=args.noise,
+                        visible_fraction=args.visible, seed=args.seed)
+    except ValueError as exc:
+        print(f"sqkit gen: error: --n {args.n} --visible {args.visible} {exc}", file=sys.stderr)
+        return EXIT_USAGE
     sq = _load_params(args.params).to_superquadric()
-    cfg = GenConfig(n_points=args.n, noise_sigma=args.noise,
-                    visible_fraction=args.visible, seed=args.seed)
     _write(args.output, write_ply(gen_synthetic(sq, cfg)))
     return EXIT_OK
 
 
 def _cmd_grid(args):
-    if not args.list:
-        raise ParseError("nothing to do: pass --list")
     for cat in default_grid().categories():
         print(f"{cat.id}\t{cat.eps1}\t{cat.eps2}")
     return EXIT_OK
@@ -231,12 +208,12 @@ def _cmd_grid(args):
 
 def build_parser():
     parser = _Parser(prog="sqkit", description=__doc__.splitlines()[0])
-    sub = parser.add_subparsers(dest="command", parser_class=_Parser)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     p = sub.add_parser("fit", help="fit a superquadric to a PLY cloud")
     p.add_argument("--input", required=True, help="input ASCII PLY cloud")
     p.add_argument("--output", required=True, help="output parameter JSON")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_nonnegative_int, default=0)
     p.add_argument("--multistart", type=_positive_int, default=6)
     p.add_argument("--max-iters", type=_positive_int, default=200)
     p.add_argument("--noise-scale", type=_nonnegative_float, default=0.0,
@@ -273,12 +250,12 @@ def build_parser():
                    help="Gaussian sigma in meters")
     p.add_argument("--visible", type=_fraction, default=1.0,
                    help="visible fraction in (0, 1]")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_nonnegative_int, default=0)
     p.add_argument("--output", required=True)
     p.set_defaults(func=_cmd_gen)
 
     p = sub.add_parser("grid", help="show the shape category table")
-    p.add_argument("--list", action="store_true")
+    p.add_argument("--list", action="store_true", required=True)
     p.set_defaults(func=_cmd_grid)
     return parser
 
@@ -292,9 +269,6 @@ def main(argv=None):
         args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
-    if getattr(args, "func", None) is None:
-        _PARSER.print_usage(sys.stderr)
-        return EXIT_USAGE
     try:
         return args.func(args)
     except ParseError as exc:

@@ -479,6 +479,11 @@ class GenConfig:
             raise ValueError("noise_sigma must be finite and >= 0")
         if not 0.0 < self.visible_fraction <= 1.0:
             raise ValueError("visible_fraction must lie in (0, 1]")
+        if self._kept() < 1:
+            raise ValueError("keeps no point: round(visible_fraction * n_points) is 0")
+
+    def _kept(self):
+        return int(round(self.visible_fraction * int(self.n_points)))
 
 
 def gen_synthetic(sq, cfg):
@@ -497,7 +502,7 @@ def gen_synthetic(sq, cfg):
     if cfg.noise_sigma > 0:
         pts = pts + rng.normal(scale=cfg.noise_sigma, size=pts.shape)
     if cfg.visible_fraction < 1.0:
-        keep = int(round(cfg.visible_fraction * n))
+        keep = cfg._kept()
         anchor = pts[rng.integers(n)]
         normal = rng.normal(size=3)
         normal /= np.linalg.norm(normal)

@@ -41,6 +41,7 @@ class TestUsage:
 
     def test_missing_required_flag(self):
         assert main(["fit", "--input", "x.ply"]) == 1
+        assert main(["grid"]) == 1
 
     def test_help_exits_zero(self):
         assert main(["--help"]) == 0
@@ -50,6 +51,38 @@ class TestUsage:
     def test_bad_threshold_list(self, sphere_params):
         assert main(["eval", "--gt", sphere_params, "--est", sphere_params,
                      "--thresholds", "3,2,1"]) == 1
+
+    @pytest.mark.parametrize("value", ["text", "out_of_range"])
+    @pytest.mark.parametrize("command, flag, out_of_range", [
+        ("fit", "--seed", "-1"),
+        ("fit", "--multistart", "0"),
+        ("fit", "--max-iters", "0"),
+        ("fit", "--noise-scale", "-1"),
+        ("sample", "--n", "0"),
+        ("sample", "--fps", "0"),
+        ("gen", "--seed", "-1"),
+        ("gen", "--n", "0"),
+        ("gen", "--noise", "-0.5"),
+        ("gen", "--visible", "1.5"),
+        ("eval", "--points", "0"),
+        ("eval", "--thresholds", "3,2,1"),
+    ])
+    def test_flag_rule(self, tmp_path, sphere_params, capsys, command, flag, out_of_range,
+                       value):
+        """Each row of the flag rule table rejects text and range alike as a usage error."""
+        cloud = _write_ply(tmp_path, "c.ply", sk.sample_surface(
+            sk.Superquadric(1.0, 1.0, np.full(3, 0.05)), 200, seed=0))
+        out = tmp_path / "out"
+        flags = {
+            "fit": {"--input": cloud},
+            "sample": {"--params": sphere_params, "--n": "50"},
+            "gen": {"--params": sphere_params, "--n": "50"},
+            "eval": {"--gt": sphere_params, "--est": sphere_params},
+        }[command]
+        flags.update({flag: "x" if value == "text" else out_of_range, "--output": str(out)})
+        assert main([command, *(tok for item in flags.items() for tok in item)]) == 1
+        assert f"argument {flag}" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestNonFinite:
@@ -141,6 +174,15 @@ class TestGenSample:
                      "--fps", "20", "--output", str(out)]) == 1
         err = capsys.readouterr().err
         assert "--fps" in err and "--n" in err
+        assert not out.exists()
+
+    def test_gen_keeping_no_point_is_usage_error(self, tmp_path, sphere_params, capsys):
+        out = tmp_path / "c.ply"
+        assert main(["gen", "--params", sphere_params, "--n", "4",
+                     "--visible", "0.1", "--output", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("sqkit gen: error: ")
+        assert "--visible" in err and "--n" in err
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["sample", "gen"])
@@ -267,6 +309,16 @@ class TestEval:
         p = tmp_path / "raw.json"
         p.write_text(json.dumps(raw))
         assert main(["eval", "--gt", str(p), "--est", str(p)]) == 3
+
+    def test_point_behind_camera_exits_3_without_report(self, tmp_path, sphere_params, capsys):
+        # SPHERE sits at z = 0.04 m with a 0.05 m radius, so part of it is behind the camera.
+        intr = tmp_path / "intr.json"
+        intr.write_text(json.dumps({"fx": 500.0, "fy": 500.0, "cx": 320.0, "cy": 240.0}))
+        out = tmp_path / "report.json"
+        assert main(["eval", "--gt", sphere_params, "--est", sphere_params,
+                     "--intrinsics", str(intr), "--output", str(out)]) == 3
+        assert "behind camera" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_bad_intrinsics_file(self, tmp_path, sphere_params):
         intr = tmp_path / "intr.json"

@@ -430,3 +430,5 @@ class TestGenSynthetic:
             sk.GenConfig(visible_fraction=0.0)
         with pytest.raises(ValueError):
             sk.GenConfig(visible_fraction=1.5)
+        with pytest.raises(ValueError, match="keeps no point"):
+            sk.GenConfig(n_points=4, visible_fraction=0.1)
