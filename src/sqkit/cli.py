@@ -3,10 +3,11 @@
 Exit codes: 0 success; 1 usage error (a bad flag value, such as text, nan, inf
 or a negative --seed; grid without --list; sample --fps above --n; a gen
 whose --visible keeps no point of --n); 2 parse/format error (including an
-input that cannot be read or an output that cannot be written); 3 numerical
-failure (non-convergence, degenerate input, a cloud beyond the float32 range
-of PLY coordinates, eval --intrinsics with a template point at or behind the
-camera). Diagnostics go to stderr.
+input that cannot be read, an output that cannot be written, and an eval --gt
+record whose eps2 > 1 is not canonical, for which no report is written);
+3 numerical failure (non-convergence, degenerate input, a cloud beyond the
+float32 range of PLY coordinates, eval --intrinsics with a template point at
+or behind the camera). Diagnostics go to stderr.
 """
 
 import argparse
@@ -160,6 +161,9 @@ def _cmd_eval(args):
     gt = _load_params(args.gt)
     est = _load_params(args.est)
     gt_sq = gt.to_superquadric()
+    if gt_sq.eps2 > 1.0:
+        raise ParseError(f"--gt {args.gt}: eps2 {gt_sq.eps2:g} > 1 is not canonical; "
+                         "run `sqkit canon` on it first")
     grid = default_grid()
     category = grid.category(categorize(gt_sq.eps1, gt_sq.eps2, grid))
     template = template_points(category, n=args.points)

@@ -2,13 +2,16 @@
 
 The (eps1, eps2) plane is cut into a grid of nodes treated as object
 categories. Each category owns an unscaled template cloud obtained by
-farthest-point-sampling a dense surface sample of the unit-scale shape.
+farthest-point-sampling a dense surface sample of the unit-scale shape; the
+default grid's FPS orders ship beside this module as data.
 Symmetries are derived per instance: every superquadric is even in each
 coordinate, square cross-sections add a quarter turn about z, and circular
 cross-sections make z a revolution axis. Each group is stored as data: one
 (m, 3, 3) rotation stack built from the closed forms below.
 """
 
+import functools
+import pathlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,6 +22,11 @@ from .rotations import is_rotation_matrix, rotation_about_z
 # Size of the dense surface sample a template is farthest-point-sampled from;
 # also the largest template size.
 DENSE_SAMPLE_SIZE = 8192
+
+# The first _STORED_PICKS FPS indices of each default-grid node's dense sample
+# (seed 0), one int16 row per category id, written by _fps_order_table.
+_FPS_ORDER_PATH = pathlib.Path(__file__).with_name("template_fps_order.npy")
+_STORED_PICKS = 512
 
 # The 180-degree flips about each local axis, identity first.
 _FLIPS = np.array([np.diag(d) for d in ((1, 1, 1), (1, -1, -1), (-1, 1, -1), (-1, -1, 1))],
@@ -102,12 +110,45 @@ def categorize(eps1, eps2, grid):
     return int(np.argmin(d2.ravel()))
 
 
+def _dense_sample(exponents, dense_n, seed):
+    unit = Superquadric(*exponents, scale=np.ones(3))
+    return sample_surface(unit, dense_n, seed)
+
+
+def _floored(category):
+    return max(category.eps1, EPS_MIN), max(category.eps2, EPS_MIN)
+
+
+def _fps_order_table():
+    """The stored FPS orders, recomputed: (25, _STORED_PICKS) int16, row = id."""
+    return np.array([
+        farthest_point_sample(_dense_sample(_floored(c), DENSE_SAMPLE_SIZE, 0),
+                              _STORED_PICKS, start=0)
+        for c in default_grid().categories()
+    ], dtype=np.int16)
+
+
+@functools.cache
+def _stored_fps_orders():
+    """Floored (eps1, eps2) of each default-grid node -> its stored FPS order."""
+    table = np.load(_FPS_ORDER_PATH)
+    table.setflags(write=False)
+    return {_floored(c): table[c.id] for c in default_grid().categories()}
+
+
 def template_points(category, n=512, dense_n=DENSE_SAMPLE_SIZE, seed=0):
     """Unscaled template cloud for a category: dense sample + FPS downsample.
 
     Samples the unit-scale superquadric with the category's exponents (floored
     at EPS_MIN), then keeps the n farthest-point indices starting at index 0.
     Deterministic per (category, n, dense_n, seed).
+
+    When the floored exponents are a default-grid node (whatever grid the
+    category came from), seed is 0, dense_n is DENSE_SAMPLE_SIZE and n <= 512,
+    the indices are the first n of the order shipped beside this module, and
+    greedy FPS is skipped. That is exact, not an approximation: each greedy
+    pick depends only on the picks before it, so the first n picks of a longer
+    run are the n-pick run. Every other request runs FPS.
     """
     n = int(n)
     dense_n = int(dense_n)
@@ -115,14 +156,14 @@ def template_points(category, n=512, dense_n=DENSE_SAMPLE_SIZE, seed=0):
         raise ValueError("template size must be >= 1")
     if n > dense_n:
         raise ValueError(f"template size {n} exceeds dense sample size {dense_n}")
-    unit = Superquadric(
-        eps1=max(category.eps1, EPS_MIN),
-        eps2=max(category.eps2, EPS_MIN),
-        scale=np.ones(3),
-    )
-    dense = sample_surface(unit, dense_n, seed)
-    idx = farthest_point_sample(dense, n, start=0)
-    return dense[idx]
+    exponents = _floored(category)
+    dense = _dense_sample(exponents, dense_n, seed)
+    order = None
+    if seed == 0 and dense_n == DENSE_SAMPLE_SIZE and n <= _STORED_PICKS:
+        order = _stored_fps_orders().get(exponents)
+    if order is None:
+        return dense[farthest_point_sample(dense, n, start=0)]
+    return dense[order[:n]]
 
 
 @dataclass(frozen=True, eq=False)

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import sqkit as sk
+from conftest import fps_full_pass
 from sqkit.cli import main
 
 SPHERE = {
@@ -303,12 +304,41 @@ class TestEval:
         assert report["mspd_px"] > 0
         assert report["mssd_accuracy"] == [0.0, 1.0]
 
-    def test_non_canonical_gt_exits_3(self, tmp_path):
-        raw = {"schema_version": 1, "eps": [1.0, 1.5], "scale": [0.05, 0.05, 0.1],
+    @pytest.mark.parametrize("points", [512, 600], ids=["stored_order", "fps"])
+    def test_mssd_equals_library_on_full_pass_template(self, tmp_path, capsys, points):
+        gt = {"schema_version": 1, "eps": [0.5, 0.75], "scale": [0.03, 0.05, 0.08],
+              "rotation": [1.0, 0.0, 0.0, 0.0], "translation": [0.0, 0.0, 0.8]}
+        est = dict(gt, rotation=[np.cos(0.05), np.sin(0.05), 0.0, 0.0],
+                   translation=[0.001, 0.0, 0.8])
+        paths = []
+        for name, record in (("gt", gt), ("est", est)):
+            paths.append(tmp_path / f"{name}.json")
+            paths[-1].write_text(json.dumps(record))
+        assert main(["eval", "--gt", str(paths[0]), "--est", str(paths[1]),
+                     "--points", str(points)]) == 0
+        report = json.loads(capsys.readouterr().out)
+        dense = sk.sample_surface(sk.Superquadric(0.5, 0.75, np.ones(3)), 8192, seed=0)
+        template = dense[fps_full_pass(dense, points, 0)]
+        gt_sq, est_sq = (sk.parse_params(p.read_bytes()).to_superquadric() for p in paths)
+        pose_gt, pose_est = (
+            sk.PoseHypothesis(*sk.compose_affine(sq.rotation_matrix, sq.scale, (0.0, 0.0, 0.0),
+                                                 sq.translation))
+            for sq in (gt_sq, est_sq))
+        assert report["category_id"] == 13
+        assert report["mssd_m"] == sk.mssd(pose_est, pose_gt, template, sk.symmetry_group(gt_sq))
+        assert report["mssd_m"] > 0
+
+    def test_non_canonical_gt_exits_2_without_report(self, tmp_path, sphere_params, capsys):
+        raw = {"schema_version": 1, "eps": [0.5, 1.5], "scale": [0.05, 0.05, 0.1],
                "rotation": [1.0, 0.0, 0.0, 0.0], "translation": [0.0, 0.0, 0.0]}
         p = tmp_path / "raw.json"
         p.write_text(json.dumps(raw))
-        assert main(["eval", "--gt", str(p), "--est", str(p)]) == 3
+        out = tmp_path / "report.json"
+        assert main(["eval", "--gt", str(p), "--est", sphere_params,
+                     "--output", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "--gt" in err and "sqkit canon" in err
+        assert not out.exists()
 
     def test_point_behind_camera_exits_3_without_report(self, tmp_path, sphere_params, capsys):
         # SPHERE sits at z = 0.04 m with a 0.05 m radius, so part of it is behind the camera.

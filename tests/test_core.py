@@ -359,7 +359,7 @@ def fps_cases(draw):
 
 
 class TestFpsProperties:
-    """FPS equals the scalar oracle on tie-heavy and ill-scaled clouds."""
+    """FPS equals the scalar oracle on tie-heavy and ill-scaled clouds, and is progressive."""
 
     @settings(derandomize=True, database=None, deadline=None, max_examples=300)
     @given(fps_cases())
@@ -371,6 +371,15 @@ class TestFpsProperties:
         for block in (1, 3, 16, core._FPS_BLOCK):
             with mock.patch.object(core, "_FPS_BLOCK", block):
                 assert list(sk.farthest_point_sample(pts, k, start)) == expected
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=300)
+    @given(fps_cases(), st.data())
+    def test_prefix_of_a_longer_run(self, case, data):
+        """The first n picks of a k-pick run are the n-pick run."""
+        pts, k, start = case
+        n = data.draw(st.integers(1, k))
+        npt.assert_array_equal(sk.farthest_point_sample(pts, n, start),
+                               sk.farthest_point_sample(pts, k, start)[:n])
 
 
 # ---------------------------------------------------------------------------

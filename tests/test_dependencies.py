@@ -1,4 +1,7 @@
-"""sqkit depends on numpy alone: in its imports, its metadata and at run time."""
+"""sqkit depends on numpy alone: in its imports, its metadata and at run time.
+
+Its data files are declared package data, so an installed sqkit ships them.
+"""
 
 import ast
 import pathlib
@@ -33,6 +36,19 @@ def test_project_declares_only_numpy():
     with open(ROOT / "pyproject.toml", "rb") as f:
         dependencies = tomllib.load(f)["project"]["dependencies"]
     assert [re.match(r"[A-Za-z0-9._-]+", dep).group() for dep in dependencies] == ["numpy"]
+
+
+def test_package_data_covers_every_data_file():
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+    with open(ROOT / "pyproject.toml", "rb") as f:
+        setuptools = tomllib.load(f)["tool"]["setuptools"]
+    package = ROOT / "src" / "sqkit"
+    declared = {path for pattern in setuptools.get("package-data", {}).get("sqkit", [])
+                for path in package.glob(pattern)}
+    data = {path for path in package.rglob("*")
+            if path.is_file() and path.suffix != ".py" and "__pycache__" not in path.parts}
+    assert data
+    assert not data - declared, "not in [tool.setuptools.package-data]"
 
 
 def test_fresh_import_loads_no_scipy():

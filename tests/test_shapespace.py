@@ -1,10 +1,15 @@
 """Shape grid, categorization, templates, and symmetry groups."""
 
+import io
+from unittest import mock
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
 import sqkit as sk
+from conftest import fps_full_pass
+from sqkit import shapespace
 from sqkit.rotations import rotation_about_z
 
 
@@ -94,6 +99,37 @@ class TestTemplatePoints:
     def test_n_larger_than_dense_rejected(self):
         with pytest.raises(ValueError):
             sk.template_points(sk.ShapeCategory(0, 0.5, 0.5), n=100, dense_n=50)
+
+
+NODE = sk.default_grid().category(13)  # (0.5, 0.75)
+
+
+class TestStoredFpsOrder:
+    """The shipped FPS orders of the default-grid templates, and when they are used."""
+
+    def test_table_is_the_generator_output(self):
+        buf = io.BytesIO()
+        np.save(buf, shapespace._fps_order_table())
+        assert buf.getvalue() == shapespace._FPS_ORDER_PATH.read_bytes()
+
+    @pytest.mark.parametrize("category, n, dense_n, seed, stored", [
+        (NODE, 513, 8192, 0, False),
+        (NODE, 512, 8192, 1, False),
+        (NODE, 512, 4096, 0, False),
+        (sk.ShapeCategory(13, 0.3, 0.6), 512, 8192, 0, False),
+        (sk.ShapeGrid((0.0, 0.5, 1.0), (0.0, 0.75)).category(3), 512, 8192, 0, True),
+        (sk.ShapeGrid((0.0, 0.5, 1.0), (0.0, 0.75)).category(1), 100, 8192, 0, True),
+    ], ids=["n_513", "seed_1", "dense_4096", "off_node", "custom_grid_node",
+            "custom_grid_floored_node"])
+    def test_matches_full_pass(self, category, n, dense_n, seed, stored):
+        unit = sk.Superquadric(max(category.eps1, sk.EPS_MIN), max(category.eps2, sk.EPS_MIN),
+                               np.ones(3))
+        dense = sk.sample_surface(unit, dense_n, seed)
+        with mock.patch.object(shapespace, "farthest_point_sample",
+                               wraps=sk.farthest_point_sample) as fps:
+            got = sk.template_points(category, n=n, dense_n=dense_n, seed=seed)
+        assert fps.called != stored
+        npt.assert_array_equal(got, dense[fps_full_pass(dense, n, 0)])
 
 
 def _pairwise_gaps(a, b):
