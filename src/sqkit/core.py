@@ -117,11 +117,14 @@ def _apply_linear(M, pts):
     return np.stack(_linear_rows(M, pts[..., 0], pts[..., 1], pts[..., 2]), axis=-1)
 
 
-def _linear_rows(M, x, y, z):
-    """The three coordinates of M @ p as separate arrays, in `_apply_linear`'s order."""
+def _linear_rows(M, x, y, z, out=None):
+    """The three coordinates of M @ p as separate arrays, in `_apply_linear`'s order.
+
+    With `out`, a (3, n) array, the rows are written into it.
+    """
     rows = []
     for j in range(3):
-        row = x * M[..., j, 0, None]
+        row = np.multiply(x, M[..., j, 0, None], out=None if out is None else out[j])
         row += y * M[..., j, 1, None]
         row += z * M[..., j, 2, None]
         rows.append(row)
@@ -197,16 +200,17 @@ def inside_outside(sq, points):
     return float(f[0]) if single else f
 
 
-def _radial_residual(eps1, eps2, scale, local, jacobian=False):
+def _radial_residual(eps1, eps2, scale, local, d_shape=None):
     """Radial residual r * |1 - F^(-eps1/2)| at local-frame coordinate rows.
 
     `local` holds the rows x, y, z, as `_log_inside_outside` takes them; F
     is evaluated in that log form, and the center, where log F is -inf, has
     its residual reported as min(scale).
 
-    With `jacobian`, also returns the closed-form derivatives of each
-    residual as rows: a (5, n) array with respect to (eps1, eps2, ax, ay,
-    az) and a (3, n) array with respect to the local coordinates. They
+    With `d_shape`, a (5, n) array, also gives the closed-form derivatives
+    of each residual as rows: those with respect to (eps1, eps2, ax, ay, az)
+    are written into `d_shape`, and those with respect to the local
+    coordinates are returned as a (3, n) array after the residuals. They
     follow the chain rule through both log-sum-exps, whose partial
     derivatives are their weights. A coordinate at 0 has weight 0 and its
     term drops out (the derivative for eps < 2, a subgradient at eps = 2).
@@ -225,10 +229,10 @@ def _radial_residual(eps1, eps2, scale, local, jacobian=False):
         res = r * np.abs(gap)
         if has_center:
             res[center] = min(ax, ay, az)
-        if not jacobian:
+        if d_shape is None:
             return res
 
-        deriv = np.empty((8, res.shape[0]))
+        d_local = np.empty((3, res.shape[0]))
         # d res = |gap| dr + 0.5 c d(eps1 log F) with c = r sign(gap) E, and
         # eps1 log F moves with eps1 by the entropy h_f of (u, v), with eps2
         # by u h_xy, with log|x| by 2 u wx (likewise y) and log|z| by 2 v.
@@ -238,19 +242,20 @@ def _radial_residual(eps1, eps2, scale, local, jacobian=False):
         cuy = cu * wy
         cv = c * v
         half_c = 0.5 * c
-        np.multiply(half_c, h_f, out=deriv[0])
-        np.multiply(half_c * u, h_xy, out=deriv[1])
-        np.divide(cux, -ax, out=deriv[2])
-        np.divide(cuy, -ay, out=deriv[3])
-        np.divide(cv, -az, out=deriv[4])
+        np.multiply(half_c, h_f, out=d_shape[0])
+        np.multiply(half_c * u, h_xy, out=d_shape[1])
+        np.divide(cux, -ax, out=d_shape[2])
+        np.divide(cuy, -ay, out=d_shape[3])
+        np.divide(cv, -az, out=d_shape[4])
         abs_gap = np.abs(gap)
-        for row, cw, coord in zip(deriv[5:8], (cux, cuy, cv), (x, y, z)):
+        for row, cw, coord in zip(d_local, (cux, cuy, cv), (x, y, z)):
             np.multiply(abs_gap, coord, out=row)
             row /= r
             np.add(row, cw / coord, out=row, where=coord != 0.0)
     if has_center:
-        deriv[:, center] = 0.0
-    return res, deriv[:5], deriv[5:]
+        d_shape[:, center] = 0.0
+        d_local[:, center] = 0.0
+    return res, d_local
 
 
 def radial_distance(sq, points):
@@ -261,7 +266,10 @@ def radial_distance(sq, points):
     the true Euclidean distance in general. A point exactly at the center is
     reported at min(scale).
     """
-    return _radial_residual(sq.eps1, sq.eps2, sq.scale, sq.world_to_local(points).T)
+    pts = as_points(points)
+    t = sq.translation
+    local = _linear_rows(sq.rotation_matrix.T, *(pts[:, j] - t[j] for j in range(3)))
+    return _radial_residual(sq.eps1, sq.eps2, sq.scale, local)
 
 
 def sample_surface(sq, n, seed=0):
@@ -290,16 +298,20 @@ def sample_surface(sq, n, seed=0):
     co = _signed_pow(np.cos(omega), sq.eps2)
     so = _signed_pow(np.sin(omega), sq.eps2)
     ax, ay, az = sq.scale
-    local = np.stack([
+    # Coordinate rows until the end: gathers and the pose then run on
+    # contiguous arrays, with local_to_world's arithmetic.
+    local = [
         (ax * ce * co).ravel(),
         (ay * ce * so).ravel(),
         (az * se * np.ones_like(omega)).ravel(),
-    ], axis=1)
-
+    ]
     if total > n:
         keep = (np.arange(n) * total) // n
-        local = local[keep]
-    return sq.local_to_world(local)
+        local = [row[keep] for row in local]
+    world = _linear_rows(sq.rotation_matrix, *local)
+    for row, t in zip(world, sq.translation):
+        row += t
+    return np.stack(world, axis=1)
 
 
 def farthest_point_sample(points, k, start=0):
@@ -331,14 +343,19 @@ def farthest_point_sample(points, k, start=0):
         raise ValueError(f"start index {start} out of range for {n} points")
     B = _FPS_BLOCK
     nb = -(-n // B)
+    rows = np.ascontiguousarray(pts.T)
     with np.errstate(over="ignore"):
-        # Points stable-sorted along the axis of largest extent, laid out in
-        # nb blocks of B; the last block is padded with the last point at a
+        # Points sorted along the axis of largest extent, laid out in nb
+        # blocks of B; the last block is padded with the last point at a
         # distance of -inf, which no pick reaches and no update changes.
-        axis = int(np.argmax(np.ptp(pts, axis=0)))
-        order = np.argsort(pts[:, axis], kind="stable")
+        # Any order of equal keys gives the same picks: the bounds of the
+        # blocks come from the sorted keys, which are the same sequence
+        # for every such order; each point's distance is exact wherever it
+        # sits; and a tied pick goes to the lowest original index.
+        axis = int(np.argmax(rows.max(axis=1) - rows.min(axis=1)))
+        order = np.argsort(rows[axis])
         order = np.pad(order, (0, nb * B - n), mode="edge")
-        xyz = np.take(pts.T, order, axis=1)
+        xyz = np.take(rows, order, axis=1)
         lo, hi = xyz[axis, ::B].tolist(), xyz[axis, B - 1::B].tolist()
         d2 = np.full(nb * B, np.inf)
         d2[n:] = -np.inf

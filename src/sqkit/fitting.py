@@ -14,12 +14,13 @@ several deterministic starts guard against local minima; the lowest-residual
 start wins, ties broken by start index. Each start records why it stopped.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .core import EPS_MIN, EPS_MAX, Superquadric, _linear_rows, _radial_residual, as_points
-from .rotations import matrix_to_quat, quat_from_rotvec, quat_mul, quat_normalize, quat_to_matrix
+from .rotations import matrix_to_quat, quat_mul, quat_normalize, quat_to_matrix
 
 
 class DegenerateCloudError(ValueError):
@@ -123,15 +124,15 @@ def _residuals(x, q, pts):
     rotation columns hold the derivative at that zero increment, where
     d local / d theta_k = local x e_k, so they are g x local for the kernel's
     local-coordinate gradient g; the translation columns are -R g. The
-    coordinates are worked on as contiguous rows, and the Jacobian is the
-    transpose of an (11, n) array filled row by row.
+    coordinates are worked on as contiguous rows (`fit` passes the cloud in
+    Fortran order, so its columns are contiguous too), and the Jacobian is
+    the transpose of an (11, n) array filled row by row.
     """
     rot = quat_to_matrix(q)
     local = _linear_rows(rot.T, *(pts[:, j] - x[8 + j] for j in range(3)))
-    res, d_shape, (gx, gy, gz) = _radial_residual(x[0], x[1], x[2:5], local, jacobian=True)
+    jac = np.empty((_N_PARAMS, pts.shape[0]))
+    res, (gx, gy, gz) = _radial_residual(x[0], x[1], x[2:5], local, d_shape=jac[0:5])
     lx, ly, lz = local
-    jac = np.empty((_N_PARAMS, res.shape[0]))
-    jac[0:5] = d_shape
     # g x local in np.cross's arithmetic, then -R g
     np.multiply(gy, lz, out=jac[5])
     jac[5] -= gz * ly
@@ -139,7 +140,7 @@ def _residuals(x, q, pts):
     jac[6] -= gx * lz
     np.multiply(gx, ly, out=jac[7])
     jac[7] -= gy * lx
-    jac[8:11] = _linear_rows(-rot, gx, gy, gz)
+    _linear_rows(-rot, gx, gy, gz, out=jac[8:11])
     return res, jac.T
 
 
@@ -160,25 +161,41 @@ def _huber_weights(res, huber_scale):
 
 
 def _project(x):
-    out = x.copy()
-    out[0:2] = np.clip(out[0:2], EPS_MIN, EPS_MAX)
-    out[2:5] = np.clip(out[2:5], *_SCALE_BOUNDS)
-    return out
+    """x, a list of floats, with exponents and scales clipped to their bounds as np.clip does."""
+    lo, hi = _SCALE_BOUNDS
+    return ([min(max(e, EPS_MIN), EPS_MAX) for e in x[0:2]]
+            + [min(max(s, lo), hi) for s in x[2:5]] + x[5:])
+
+
+def _fold(q, w):
+    """quat_normalize(quat_mul(q, quat_from_rotvec(w))), as a tuple of floats.
+
+    The increment's quaternion and the product are built on Python floats,
+    with the same operations in the same order. The angle is the square
+    root of numpy's dot, as np.linalg.norm takes it (BLAS may fuse its
+    multiply-adds), and sin and cos are numpy's, whose SIMD loops may round
+    differently from libm.
+    """
+    v = np.array(w)
+    angle = math.sqrt(v.dot(v))
+    if angle < 1e-300:
+        dq = (1.0, 0.0, 0.0, 0.0)
+    else:
+        half = 0.5 * angle
+        s = float(np.sin(half)) / angle
+        dq = (float(np.cos(half)), w[0] * s, w[1] * s, w[2] * s)
+    return tuple(quat_normalize(quat_mul(q, dq)).tolist())
 
 
 def _pack(sq):
     return np.concatenate(([sq.eps1, sq.eps2], sq.scale, np.zeros(3), sq.translation))
 
 
-def _unpack(x, q):
-    return Superquadric(
-        eps1=x[0], eps2=x[1], scale=x[2:5].copy(), rotation=q, translation=x[8:11].copy(),
-    )
-
-
 def _optimize_start(pts, start, config):
-    q = np.array(start.rotation)
-    x = _project(_pack(start))
+    # The parameters and the quaternion are Python floats between the
+    # kernel calls; the per-trial bookkeeping is on 11 and 4 numbers.
+    q = tuple(start.rotation.tolist())
+    x = _project(_pack(start).tolist())
     res, jac = _residuals(x, q, pts)
     evaluations = 1
     obj = _objective(res, config.noise_scale)
@@ -190,25 +207,30 @@ def _optimize_start(pts, start, config):
         jac_w = jac
         if config.noise_scale > 0:
             jac_w = jac * _huber_weights(res, config.noise_scale)[:, None]
-        grad = jac_w.T @ res
+        neg_grad = -(jac_w.T @ res)
         hess = jac_w.T @ jac
-        damp = np.maximum(np.diag(hess), 1e-12)
+        # hess + lam diag(damp), with only its diagonal rewritten per trial
+        damped = hess.copy()
+        diag = hess.reshape(-1)[::_N_PARAMS + 1]
+        damped_diag = damped.reshape(-1)[::_N_PARAMS + 1]
+        damp = np.maximum(diag, 1e-12)
         accepted = False
         for _ in range(40):
+            np.add(diag, lam * damp, out=damped_diag)
             try:
-                step = np.linalg.solve(hess + lam * np.diag(damp), -grad)
+                step = np.linalg.solve(damped, neg_grad)
             except np.linalg.LinAlgError:
                 lam *= 10.0
                 continue
             # The trial's rotation increment is folded into its quaternion
             # before the one evaluation, so an accepted trial carries over.
-            x_new = _project(x + step)
-            q_new = quat_normalize(quat_mul(q, quat_from_rotvec(x_new[5:8])))
-            x_new[5:8] = 0.0
+            x_new = _project([a + b for a, b in zip(x, step.tolist())])
+            q_new = _fold(q, x_new[5:8])
+            x_new[5:8] = (0.0, 0.0, 0.0)
             res_new, jac_new = _residuals(x_new, q_new, pts)
             evaluations += 1
             obj_new = _objective(res_new, config.noise_scale)
-            if np.isfinite(obj_new) and obj_new < obj:
+            if math.isfinite(obj_new) and obj_new < obj:
                 accepted = True
                 break
             lam *= 4.0
@@ -226,10 +248,10 @@ def _optimize_start(pts, start, config):
         if rel_drop <= config.convergence_tol:
             stop_reason = "rel_drop"
             break
-        if np.sqrt(np.mean(res * res)) <= _RMS_FLOOR_REL * np.max(x[2:5]):
+        if np.sqrt(np.mean(res * res)) <= _RMS_FLOOR_REL * max(x[2:5]):
             stop_reason = "rms_floor"
             break
-    params = _unpack(x, q)
+    params = Superquadric(eps1=x[0], eps2=x[1], scale=x[2:5], rotation=q, translation=x[8:11])
     rms = float(np.sqrt(np.mean(res * res)))
     return params, rms, iterations, evaluations, stop_reason, tuple(history)
 
@@ -334,10 +356,13 @@ def fit(points, config=None):
         config = FitConfig()
     pts = as_points(points)
     starts = initial_guesses(pts, int(config.multistart), seed=config.seed)
+    # One copy in Fortran order makes each coordinate column the kernel
+    # reads contiguous; the guesses' moments above keep the input's sums.
+    cols = np.asfortranarray(pts)
     diagnostics = []
     best = None
     for idx, start in enumerate(starts):
-        params, rms, iters, evals, stop_reason, history = _optimize_start(pts, start, config)
+        params, rms, iters, evals, stop_reason, history = _optimize_start(cols, start, config)
         diag = StartDiagnostic(
             initial=start, rms_residual=rms, iterations=iters, evaluations=evals,
             stop_reason=stop_reason, objective_history=history,

@@ -12,9 +12,11 @@ from pathlib import Path
 import numpy as np
 
 from sqkit import EPS_MIN, Superquadric
-from sqkit.core import _apply_linear
-from sqkit.rotations import (quat_from_axis_angle, quat_from_rotvec, quat_mul, quat_to_matrix,
-                             random_quaternion)
+from sqkit.core import EPS_MAX, _apply_linear
+from sqkit.fitting import (_RMS_FLOOR_REL, _SCALE_BOUNDS, _huber_weights, _objective, _pack,
+                           _residuals)
+from sqkit.rotations import (quat_from_axis_angle, quat_from_rotvec, quat_mul, quat_normalize,
+                             quat_to_matrix, random_quaternion)
 
 # Subprocesses the tests start (the CLI as a module, the demos) import sqkit
 # from this tree as well, whether or not the package is installed.
@@ -107,6 +109,123 @@ def fps_full_pass(points, k, start):
             d2[chosen[-1]] = -np.inf
             chosen.append(int(np.argmax(d2)))
     return chosen
+
+
+def sample_surface_oracle(sq, n, seed=0):
+    """`sample_surface` in its (n, 3) formulation.
+
+    The local points are stacked into an (total, 3) array, gathered by
+    `local[keep]` and posed by `local_to_world`.
+    """
+    n = int(n)
+    rng = np.random.default_rng(seed)
+    n_om = int(np.ceil(np.sqrt(2.0 * n)))
+    n_eta = int(np.ceil(n / n_om))
+    total = n_eta * n_om
+
+    jitter = rng.uniform(0.05, 0.95, size=(2, n_eta, n_om))
+    i = np.arange(n_eta)[:, None]
+    j = np.arange(n_om)[None, :]
+    eta = -0.5 * np.pi + (i + jitter[0]) * (np.pi / n_eta)
+    omega = -np.pi + (j + jitter[1]) * (2.0 * np.pi / n_om)
+
+    def signed_pow(base, exponent):
+        return np.sign(base) * np.abs(base) ** exponent
+
+    ce = signed_pow(np.cos(eta), sq.eps1)
+    se = signed_pow(np.sin(eta), sq.eps1)
+    co = signed_pow(np.cos(omega), sq.eps2)
+    so = signed_pow(np.sin(omega), sq.eps2)
+    ax, ay, az = sq.scale
+    local = np.stack([
+        (ax * ce * co).ravel(),
+        (ay * ce * so).ravel(),
+        (az * se * np.ones_like(omega)).ravel(),
+    ], axis=1)
+
+    if total > n:
+        keep = (np.arange(n) * total) // n
+        local = local[keep]
+    return sq.local_to_world(local)
+
+
+def _project(x):
+    out = x.copy()
+    out[0:2] = np.clip(out[0:2], EPS_MIN, EPS_MAX)
+    out[2:5] = np.clip(out[2:5], *_SCALE_BOUNDS)
+    return out
+
+
+def _unpack(x, q):
+    return Superquadric(
+        eps1=x[0], eps2=x[1], scale=x[2:5].copy(), rotation=q, translation=x[8:11].copy(),
+    )
+
+
+def optimize_start_reference(pts, start, config):
+    """One LM start in the earlier numpy-array formulation of `fitting._optimize_start`.
+
+    The loop as it was before its bookkeeping moved to Python floats: the
+    parameters as an 11-array projected by np.clip, the damped matrix as
+    hess + lam * np.diag(damp), and the rotation fold through
+    `quat_from_rotvec`, `quat_mul` and `quat_normalize`. It shares the
+    kernel (`fitting._residuals`) and the objective with the library.
+    """
+    q = np.array(start.rotation)
+    x = _project(_pack(start))
+    res, jac = _residuals(x, q, pts)
+    evaluations = 1
+    obj = _objective(res, config.noise_scale)
+    history = [obj]
+    lam = 1e-3
+    stop_reason = "budget"
+    iterations = 0
+    for _ in range(int(config.max_iterations)):
+        jac_w = jac
+        if config.noise_scale > 0:
+            jac_w = jac * _huber_weights(res, config.noise_scale)[:, None]
+        grad = jac_w.T @ res
+        hess = jac_w.T @ jac
+        damp = np.maximum(np.diag(hess), 1e-12)
+        accepted = False
+        for _ in range(40):
+            try:
+                step = np.linalg.solve(hess + lam * np.diag(damp), -grad)
+            except np.linalg.LinAlgError:
+                lam *= 10.0
+                continue
+            # The trial's rotation increment is folded into its quaternion
+            # before the one evaluation, so an accepted trial carries over.
+            x_new = _project(x + step)
+            q_new = quat_normalize(quat_mul(q, quat_from_rotvec(x_new[5:8])))
+            x_new[5:8] = 0.0
+            res_new, jac_new = _residuals(x_new, q_new, pts)
+            evaluations += 1
+            obj_new = _objective(res_new, config.noise_scale)
+            if np.isfinite(obj_new) and obj_new < obj:
+                accepted = True
+                break
+            lam *= 4.0
+            if lam > 1e14:
+                break
+        if not accepted:
+            # No descent direction at any damping: numerically stationary.
+            stop_reason = "no_descent"
+            break
+        iterations += 1
+        rel_drop = (obj - obj_new) / max(obj, 1e-300)
+        x, q, res, jac, obj = x_new, q_new, res_new, jac_new, obj_new
+        history.append(obj)
+        lam = max(lam / 3.0, 1e-12)
+        if rel_drop <= config.convergence_tol:
+            stop_reason = "rel_drop"
+            break
+        if np.sqrt(np.mean(res * res)) <= _RMS_FLOOR_REL * np.max(x[2:5]):
+            stop_reason = "rms_floor"
+            break
+    params = _unpack(x, q)
+    rms = float(np.sqrt(np.mean(res * res)))
+    return params, rms, iterations, evaluations, stop_reason, tuple(history)
 
 
 def inside_outside_oracle(sq, local):

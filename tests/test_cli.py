@@ -9,6 +9,7 @@ import pytest
 
 import sqkit as sk
 from conftest import fps_full_pass
+from sqkit import fitting
 from sqkit.cli import main
 
 SPHERE = {
@@ -229,6 +230,15 @@ class TestFit:
         small = _write_ply(tmp_path, "small.ply",
                            [[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1]])
         assert main(["fit", "--input", small, "--output", str(tmp_path / "o.json")]) == 3
+
+    def test_non_finite_step_exits_3_without_file(self, tmp_path, sphere_params, monkeypatch):
+        cloud = tmp_path / "c.ply"
+        assert main(["gen", "--params", sphere_params, "--n", "500", "--noise", "0.001",
+                     "--output", str(cloud)]) == 0
+        monkeypatch.setattr(fitting.np.linalg, "solve", lambda a, b: np.full(np.shape(b), np.nan))
+        out = tmp_path / "fit.json"
+        assert main(["fit", "--input", str(cloud), "--output", str(out)]) == 3
+        assert not out.exists()
 
     def test_fit_writes_reparseable_params(self, tmp_path, sphere_params, capsys):
         cloud = tmp_path / "c.ply"

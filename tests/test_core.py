@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import sqkit as sk
-from conftest import fps_full_pass, fps_oracle, inside_outside_oracle, random_superquadric
+from conftest import (fps_full_pass, fps_oracle, inside_outside_oracle, random_superquadric,
+                      sample_surface_oracle)
 from sqkit import core
 from sqkit.rotations import random_quaternion
 
@@ -231,6 +232,18 @@ class TestSampleSurface:
         pts = sk.sample_surface(sk.Superquadric(2.0, 2.0, np.ones(3)), 500, seed=1)
         assert len(np.unique(pts, axis=0)) == 500
 
+    # 2,924 of the counts 1-3,000 have a grid larger than n and take the
+    # evenly spaced `keep` gather; the rest fill the grid exactly.
+    @settings(derandomize=True, database=None, deadline=None, max_examples=200)
+    @given(st.floats(sk.EPS_MIN, 2.0), st.floats(sk.EPS_MIN, 2.0), st.integers(1, 3000),
+           st.integers(0, 2**32 - 1), st.integers(0, 2**32 - 1))
+    def test_matches_stacked_formulation(self, eps1, eps2, n, seed, pose_seed):
+        """Bit for bit the (n, 3) formulation: stack, gather, `local_to_world`."""
+        rng = np.random.default_rng(pose_seed)
+        sq = sk.Superquadric(eps1, eps2, rng.uniform(0.01, 0.3, 3), random_quaternion(rng),
+                             rng.uniform(-1.0, 1.0, 3))
+        npt.assert_array_equal(sk.sample_surface(sq, n, seed), sample_surface_oracle(sq, n, seed))
+
 
 # ---------------------------------------------------------------------------
 # farthest_point_sample
@@ -283,6 +296,21 @@ class TestFarthestPointSample:
                                [2, 0, 1, 3])
         assert fps_oracle(pts, 3, 0) == [0, 2, 1]
         assert fps_oracle(np.zeros((4, 3)), 4, 2) == [2, 0, 1, 3]
+
+    @pytest.mark.parametrize("lattice", [False, True])
+    def test_equal_sort_keys_in_shuffled_order(self, lattice):
+        # x, the axis of largest extent, takes 12 values over 3,000 points
+        # given in shuffled order, so the sort meets long runs of equal keys
+        # whose order a stable and an unstable sort may set differently; on
+        # the lattice, many distances tie as well.
+        rng = np.random.default_rng(34)
+        n = 3000
+        yz = rng.integers(-2, 3, (n, 2)).astype(float) if lattice else rng.uniform(-1, 1, (n, 2))
+        pts = np.column_stack([rng.integers(0, 12, n).astype(float), yz])[rng.permutation(n)]
+        expected = fps_full_pass(pts, 300, 5)
+        for block in (16, core._FPS_BLOCK):
+            with mock.patch.object(core, "_FPS_BLOCK", block):
+                npt.assert_array_equal(sk.farthest_point_sample(pts, 300, start=5), expected)
 
     def test_overflowing_distances_same_indices_no_warning(self):
         # finite coordinates whose squared distances overflow to inf

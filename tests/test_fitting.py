@@ -10,8 +10,8 @@ import pytest
 import sqkit as sk
 from sqkit.rotations import quat_to_matrix, random_quaternion
 from sqkit import fitting
-from conftest import (fd_jacobian_oracle, radial_residual_reference, random_superquadric,
-                      relabel_candidates)
+from conftest import (fd_jacobian_oracle, optimize_start_reference, radial_residual_reference,
+                      random_superquadric, relabel_candidates)
 
 
 def _unit_sphere():
@@ -217,6 +217,58 @@ class TestStopReason:
 
     def test_budget(self):
         assert self._reasons(self._noisy_cloud(), max_iterations=2) == {"budget"}
+
+
+def _class_cloud(kind, i):
+    """A 2,000-point, 1 mm noise cloud of a general shape, a square
+    cross-section (ax == ay) or a body of revolution (also eps2 == 1)."""
+    sq = random_superquadric(np.random.default_rng([61, kind, i]))
+    if kind != 0:
+        radial = sq.scale[0]
+        sq = sk.Superquadric(sq.eps1, 1.0 if kind == 2 else sq.eps2,
+                             [radial, radial, sq.scale[2]], sq.rotation, sq.translation)
+    return sk.gen_synthetic(sq, sk.GenConfig(n_points=2000, noise_sigma=1e-3, seed=i))
+
+
+def _param_vector(sq):
+    return np.concatenate([[sq.eps1, sq.eps2], sq.scale, sq.rotation, sq.translation])
+
+
+class TestLoopReference:
+    """`_optimize_start` against `optimize_start_reference`, the earlier
+    numpy-array formulation of its loop, start by start."""
+
+    # Largest |parameter - reference| allowed, in the parameters' own units
+    # (exponents, meters, quaternion components). Measured: 0, bit-identical
+    # on every start of these clouds.
+    BOUND = 1e-12
+
+    # Two clouds per class in plain least squares, one per class with Huber weights.
+    @pytest.mark.parametrize("kind, i, config", [
+        *((kind, i, {}) for kind, i in itertools.product(range(3), range(2))),
+        *((kind, 0, {"noise_scale": 2e-3}) for kind in range(3)),
+    ])
+    def test_same_steps_and_parameters(self, kind, i, config):
+        cloud = _class_cloud(kind, i)
+        config = sk.FitConfig(**config)
+        cols = np.asfortranarray(cloud)
+        for start in sk.initial_guesses(cloud, config.multistart, seed=config.seed):
+            params, rms, iters, evals, stop, history = fitting._optimize_start(cols, start, config)
+            ref = optimize_start_reference(cloud, start, config)
+            assert (iters, evals, stop, len(history)) == (ref[2], ref[3], ref[4], len(ref[5]))
+            assert np.max(np.abs(_param_vector(params) - _param_vector(ref[0]))) <= self.BOUND
+            assert abs(rms - ref[1]) <= self.BOUND
+
+
+class TestNonFiniteStep:
+    """A step that comes back NaN gives the fold a NaN quaternion norm, and
+    the fit raises ValueError, as quat_normalize does, instead of quietly
+    rejecting the trial."""
+
+    def test_fit_raises(self, monkeypatch):
+        monkeypatch.setattr(fitting.np.linalg, "solve", lambda a, b: np.full(np.shape(b), np.nan))
+        with pytest.raises(ValueError, match="non-finite quaternion"):
+            sk.fit(_class_cloud(0, 0), sk.FitConfig(multistart=1))
 
 
 class TestFitConfig:
