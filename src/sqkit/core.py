@@ -72,16 +72,20 @@ class Superquadric:
         scale = np.array(self.scale, dtype=float)
         rot = np.array(self.rotation, dtype=float)
         trans = np.array(self.translation, dtype=float)
-        if scale.shape != (3,) or not np.all(np.isfinite(scale)) or np.any(scale <= 0):
+        # Checked on Python floats: numpy calls on 3- and 4-element arrays
+        # cost more than the checks. A NaN fails every comparison.
+        if scale.shape != (3,) or not all(0.0 < v < math.inf for v in scale.tolist()):
             raise ValueError("scale must be three finite positive lengths")
-        if rot.shape != (4,) or not np.all(np.isfinite(rot)):
+        if rot.shape != (4,) or not all(map(math.isfinite, rot.tolist())):
             raise ValueError("rotation must be a finite quaternion (w, x, y, z)")
-        if abs(np.linalg.norm(rot) - 1.0) > _QUAT_NORM_TOL:
+        # The norm as np.linalg.norm takes it for a 1-D array, so the
+        # tolerance's boundary keeps its bits.
+        if abs(math.sqrt(rot.dot(rot)) - 1.0) > _QUAT_NORM_TOL:
             raise ValueError("rotation quaternion must have unit norm")
-        if trans.shape != (3,) or not np.all(np.isfinite(trans)):
+        if trans.shape != (3,) or not all(map(math.isfinite, trans.tolist())):
             raise ValueError("translation must be a finite 3-vector")
         for name, e in (("eps1", self.eps1), ("eps2", self.eps2)):
-            if not np.isfinite(e) or not (EPS_MIN <= e <= EPS_MAX):
+            if not EPS_MIN <= e <= EPS_MAX:
                 raise ValueError(f"{name} must lie in [{EPS_MIN}, {EPS_MAX}], got {e}")
         for arr in (scale, rot, trans):
             arr.setflags(write=False)
@@ -112,7 +116,9 @@ def _apply_linear(M, pts):
     leading stack axes: an (m, 3, 3) stack of matrices applied to (n, 3)
     points gives (m, n, 3), and so does one 3x3 matrix applied to (m, n, 3)
     points. Each output column is built from the x, y, z slices, so no
-    inner loop runs over an axis of length 3.
+    inner loop runs over an axis of length 3. No caller in the package uses
+    the stack broadcast any more: `mssd` and `mspd` apply their symmetry
+    stacks to coordinate rows with `_linear_rows`.
     """
     return np.stack(_linear_rows(M, pts[..., 0], pts[..., 1], pts[..., 2]), axis=-1)
 
@@ -120,13 +126,16 @@ def _apply_linear(M, pts):
 def _linear_rows(M, x, y, z, out=None):
     """The three coordinates of M @ p as separate arrays, in `_apply_linear`'s order.
 
-    With `out`, a (3, n) array, the rows are written into it.
+    With `out`, a (3, n) array, the rows are written into it. x, y and z
+    have one shape; the y and z products share one scratch array.
     """
     rows = []
+    tmp = None
     for j in range(3):
         row = np.multiply(x, M[..., j, 0, None], out=None if out is None else out[j])
-        row += y * M[..., j, 1, None]
-        row += z * M[..., j, 2, None]
+        tmp = np.multiply(y, M[..., j, 1, None], out=tmp)
+        row += tmp
+        row += np.multiply(z, M[..., j, 2, None], out=tmp)
         rows.append(row)
     return rows
 

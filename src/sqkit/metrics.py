@@ -11,9 +11,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _apply_linear, as_points
+from .core import _linear_rows, as_points
 from .shapespace import expand_symmetries
 
+# Template points times symmetries per broadcast block: each coordinate row of
+# a (k, n) block then holds at most 4096 doubles, 32 KB.
 _BLOCK_POINTS = 4096
 
 
@@ -39,7 +41,7 @@ class PoseHypothesis:
         object.__setattr__(self, "translation", t)
 
     def apply(self, points):
-        return _apply_linear(self.matrix, as_points(points)) + self.translation
+        return np.stack(_posed_rows(self, *as_points(points).T), axis=1)
 
 
 @dataclass(frozen=True)
@@ -67,6 +69,22 @@ class CameraIntrinsics:
                          [0.0, 0.0, 1.0]])
 
 
+def _project_rows(intrinsics, x, y, z):
+    """Pixel rows u, v of camera-frame coordinate rows, as (fx*x)/z + cx and (fy*y)/z + cy.
+
+    Every z must be > 0; anything at or behind the camera plane raises.
+    """
+    if np.any(z <= 0.0):
+        raise ValueError("point behind camera (z <= 0)")
+    rows = []
+    for f, c, coord in ((intrinsics.fx, intrinsics.cx, x), (intrinsics.fy, intrinsics.cy, y)):
+        row = np.multiply(f, coord)
+        row /= z
+        row += c
+        rows.append(row)
+    return rows
+
+
 def project(intrinsics, points):
     """Pinhole projection of camera-frame points to pixel coordinates.
 
@@ -75,27 +93,29 @@ def project(intrinsics, points):
     """
     single = np.asarray(points).ndim == 1
     pts = as_points(points)
-    z = pts[:, 2]
-    if np.any(z <= 0.0):
-        raise ValueError("point behind camera (z <= 0)")
-    u = intrinsics.fx * pts[:, 0] / z + intrinsics.cx
-    v = intrinsics.fy * pts[:, 1] / z + intrinsics.cy
-    uv = np.stack([u, v], axis=1)
+    uv = np.stack(_project_rows(intrinsics, pts[:, 0], pts[:, 1], pts[:, 2]), axis=1)
     return uv[0] if single else uv
 
 
-def _symmetric_gt(gt, template, group):
-    """Yield (k, n, 3) blocks of world points gt(S x), k symmetries S at a time.
+def _posed_rows(pose, x, y, z):
+    """Coordinate rows of matrix @ p + translation, the matrix applied in `_linear_rows`' order."""
+    rows = _linear_rows(pose.matrix, x, y, z)
+    for row, t in zip(rows, pose.translation):
+        row += t
+    return rows
 
-    One broadcast per block of at most _BLOCK_POINTS points keeps the
-    temporaries near 100 KB each, however large the group.
+
+def _symmetric_gt(gt, rows, group):
+    """Yield the x, y, z rows, each (k, n), of world points gt(S x), k symmetries S at a time.
+
+    `rows` is the template as (3, n) coordinate rows. One broadcast per
+    block of at most _BLOCK_POINTS points keeps each row near 32 KB,
+    however large the group.
     """
     rotations = expand_symmetries(group)
-    k = max(1, _BLOCK_POINTS // len(template))
+    k = max(1, _BLOCK_POINTS // rows.shape[1])
     for i in range(0, len(rotations), k):
-        pts = _apply_linear(gt.matrix, _apply_linear(rotations[i:i + k], template))
-        pts += gt.translation
-        yield pts
+        yield _posed_rows(gt, *_linear_rows(rotations[i:i + k], *rows))
 
 
 def mssd(est, gt, template, group):
@@ -104,13 +124,19 @@ def mssd(est, gt, template, group):
     min over symmetries S of max over template points x of
     ||est(x) - gt(S x)||.
     """
-    template = as_points(template)
-    pts_est = est.apply(template)
+    rows = np.ascontiguousarray(as_points(template).T)
+    ex, ey, ez = _posed_rows(est, *rows)
     best = np.inf
-    for d in _symmetric_gt(gt, template, group):
-        np.subtract(pts_est, d, out=d)
-        d2 = (d[..., 0] * d[..., 0] + d[..., 1] * d[..., 1]) + d[..., 2] * d[..., 2]
-        best = min(best, d2.max(axis=1).min())
+    for dx, dy, dz in _symmetric_gt(gt, rows, group):
+        np.subtract(ex, dx, out=dx)
+        np.subtract(ey, dy, out=dy)
+        np.subtract(ez, dz, out=dz)
+        dx *= dx
+        dy *= dy
+        dz *= dz
+        dx += dy
+        dx += dz
+        best = min(best, dx.max(axis=1).min())
     # sqrt is monotonic, so taking it after the max and min changes no bit.
     return float(np.sqrt(best))
 
@@ -121,13 +147,17 @@ def mspd(est, gt, template, group, intrinsics):
     Same min-max as mssd but measured between pinhole projections; every
     transformed template point must land in front of the camera.
     """
-    template = as_points(template)
-    uv_est = project(intrinsics, est.apply(template))
+    rows = np.ascontiguousarray(as_points(template).T)
+    eu, ev = _project_rows(intrinsics, *_posed_rows(est, *rows))
     best = np.inf
-    for pts in _symmetric_gt(gt, template, group):
-        d = uv_est - project(intrinsics, pts.reshape(-1, 3)).reshape(pts.shape[:2] + (2,))
-        d2 = d[..., 0] * d[..., 0] + d[..., 1] * d[..., 1]
-        best = min(best, d2.max(axis=1).min())
+    for pts in _symmetric_gt(gt, rows, group):
+        du, dv = _project_rows(intrinsics, *pts)
+        np.subtract(eu, du, out=du)
+        np.subtract(ev, dv, out=dv)
+        du *= du
+        dv *= dv
+        du += dv
+        best = min(best, du.max(axis=1).min())
     return float(np.sqrt(best))
 
 
@@ -142,6 +172,9 @@ def accuracy_curve(errors, thresholds):
     thr = np.asarray(thresholds, dtype=float)
     if thr.ndim != 1 or thr.size == 0:
         raise ValueError("thresholds must be a nonempty 1-D sequence")
+    # NaN compares false both ways, so it would pass the ascending test.
+    if np.isnan(thr).any():
+        raise ValueError("thresholds must not be NaN")
     if np.any(np.diff(thr) < 0):
         raise ValueError("thresholds must be ascending")
     sorted_errors = np.sort(errors)

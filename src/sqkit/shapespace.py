@@ -88,10 +88,15 @@ class ShapeGrid:
         return [self.category(i) for i in range(self.n_categories)]
 
 
+_DEFAULT_GRID = ShapeGrid((0.0, 0.25, 0.5, 0.75, 1.0), (0.0, 0.25, 0.5, 0.75, 1.0))
+
+
 def default_grid():
-    """The standard 5x5 grid over [0, 1]^2 (25 categories)."""
-    vals = (0.0, 0.25, 0.5, 0.75, 1.0)
-    return ShapeGrid(vals, vals)
+    """The standard 5x5 grid over [0, 1]^2 (25 categories).
+
+    Every call returns the same frozen instance, validated once at import.
+    """
+    return _DEFAULT_GRID
 
 
 def categorize(eps1, eps2, grid):
@@ -186,6 +191,12 @@ class SymmetryGroup:
         object.__setattr__(self, "rotations", R)
 
 
+# The three groups symmetry_group returns, built and validated once.
+_FLIP_GROUP = SymmetryGroup(_FLIPS)
+_ORDER8_GROUP = SymmetryGroup(_ORDER8)
+_REVOLUTION_GROUP = SymmetryGroup(_REVOLUTION)
+
+
 def symmetry_group(sq, rel_tol=1e-3):
     """Derive the symmetry group of a canonical superquadric instance.
 
@@ -193,15 +204,17 @@ def symmetry_group(sq, rel_tol=1e-3):
     axis (order 4). Equal radial scales add a quarter turn about z (order 8),
     and a circular cross-section (eps2 near 1) makes z a revolution axis,
     discretized at 10-degree spins for metric evaluation (72 elements).
+    The groups are built once, so every call returns one of three shared,
+    read-only instances.
     """
     if sq.eps2 > 1.0:
         raise ValueError("symmetry requires a canonical shape (eps2 <= 1)")
     ax, ay, _ = sq.scale
     if abs(ax - ay) / max(ax, ay) > rel_tol:
-        return SymmetryGroup(_FLIPS)
+        return _FLIP_GROUP
     if abs(sq.eps2 - 1.0) > rel_tol:
-        return SymmetryGroup(_ORDER8)
-    return SymmetryGroup(_REVOLUTION)
+        return _ORDER8_GROUP
+    return _REVOLUTION_GROUP
 
 
 def expand_symmetries(group):

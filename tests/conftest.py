@@ -276,6 +276,31 @@ def mssd_oracle(est, gt, template, rotations):
     return best
 
 
+def mspd_oracle(est, gt, template, rotations, intrinsics):
+    """Exhaustive double-loop MSPD over explicit symmetry rotations.
+
+    On Python floats; each point projects as (fx*x)/z + cx, (fy*y)/z + cy.
+    """
+    fx, fy, cx, cy = intrinsics.fx, intrinsics.fy, intrinsics.cx, intrinsics.cy
+    best = math.inf
+    for S in np.asarray(rotations, dtype=float).tolist():
+        worst = -math.inf
+        for x, y, z in np.asarray(template, dtype=float).tolist():
+            sx = (x * S[0][0] + y * S[0][1]) + z * S[0][2]
+            sy = (x * S[1][0] + y * S[1][1]) + z * S[1][2]
+            sz = (x * S[2][0] + y * S[2][1]) + z * S[2][2]
+            ex, ey, ez = _affine_coord(est, x, y, z)
+            gx, gy, gz = _affine_coord(gt, sx, sy, sz)
+            du = ((fx * ex) / ez + cx) - ((fx * gx) / gz + cx)
+            dv = ((fy * ey) / ez + cy) - ((fy * gy) / gz + cy)
+            d = math.sqrt(du * du + dv * dv)
+            if d > worst:
+                worst = d
+        if worst < best:
+            best = worst
+    return best
+
+
 def ply_body_oracle(points):
     """PLY vertex rows of an (n, 3) cloud, formatted one value at a time.
 

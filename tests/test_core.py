@@ -44,6 +44,50 @@ class TestSuperquadric:
         with pytest.raises(ValueError):
             sk.Superquadric(1.0, 1.0, np.ones(3), translation=np.array([0.0, np.nan, 0.0]))
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("scale", [1.0, np.nan, 1.0], "scale must be three finite positive lengths"),
+        ("scale", [np.inf, 1.0, 1.0], "scale must be three finite positive lengths"),
+        ("scale", [1.0, 1.0, -np.inf], "scale must be three finite positive lengths"),
+        ("scale", [1.0, -0.0, 1.0], "scale must be three finite positive lengths"),
+        ("scale", [1.0, 1.0], "scale must be three finite positive lengths"),
+        ("rotation", [np.nan, 0.0, 0.0, 0.0], "rotation must be a finite quaternion"),
+        ("rotation", [1.0, 0.0, np.inf, 0.0], "rotation must be a finite quaternion"),
+        ("rotation", [1.0, 0.0, 0.0], "rotation must be a finite quaternion"),
+        ("rotation", [0.0, 0.0, 0.0, 0.0], "rotation quaternion must have unit norm"),
+        ("translation", [np.inf, 0.0, 0.0], "translation must be a finite 3-vector"),
+        ("translation", [0.0, 0.0, -np.inf], "translation must be a finite 3-vector"),
+        ("eps1", np.nan, r"eps1 must lie in \[0.01, 2.0\], got nan"),
+        ("eps2", np.inf, r"eps2 must lie in \[0.01, 2.0\], got inf"),
+        ("eps1", -np.inf, r"eps1 must lie in \[0.01, 2.0\], got -inf"),
+    ])
+    def test_rejects_nonfinite_and_malformed_fields(self, field, value, message):
+        fields = dict(eps1=1.0, eps2=1.0, scale=np.ones(3))
+        fields[field] = value
+        with pytest.raises(ValueError, match=message):
+            sk.Superquadric(**fields)
+
+    def test_quaternion_norm_boundary_follows_linalg_norm(self):
+        # The unit-norm test keeps np.linalg.norm's bits at its 1e-9 boundary.
+        rng = np.random.default_rng(12)
+        directions = [np.array([1.0, 0.0, 0.0, 0.0]), np.full(4, 0.5)]
+        directions += [random_quaternion(rng) for _ in range(8)]
+        outcomes = set()
+        for q in directions:
+            for f in (1.0 - 1e-9, 1.0 + 1e-9):
+                for g in (np.nextafter(f, 0.0), f, np.nextafter(f, 2.0)):
+                    rot = q * g
+                    ok = abs(np.linalg.norm(rot) - 1.0) <= 1e-9
+                    outcomes.add(ok)
+                    if ok:
+                        sk.Superquadric(1.0, 1.0, np.ones(3), rotation=rot)
+                    else:
+                        with pytest.raises(ValueError, match="unit norm"):
+                            sk.Superquadric(1.0, 1.0, np.ones(3), rotation=rot)
+        assert outcomes == {True, False}
+        sk.Superquadric(1.0, 1.0, np.ones(3), rotation=[1.0 - 1e-9, 0.0, 0.0, 0.0])
+        with pytest.raises(ValueError, match="unit norm"):
+            sk.Superquadric(1.0, 1.0, np.ones(3), rotation=[1.0 + 1e-9, 0.0, 0.0, 0.0])
+
     def test_fields_are_readonly(self):
         sq = _sphere()
         with pytest.raises(ValueError):

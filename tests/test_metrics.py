@@ -1,14 +1,16 @@
 """Pose metrics: pinhole projection, MSSD/MSPD, accuracy curves."""
 
+from unittest import mock
+
 import numpy as np
 import numpy.testing as npt
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import sqkit as sk
 from sqkit.rotations import quat_to_matrix, random_quaternion
-from conftest import mssd_oracle
+from conftest import mspd_oracle, mssd_oracle
 
 K = sk.CameraIntrinsics(fx=500.0, fy=500.0, cx=320.0, cy=240.0)
 IDENTITY = sk.SymmetryGroup(np.eye(3)[None])
@@ -157,6 +159,15 @@ class TestMspd:
         with pytest.raises(ValueError):
             sk.mspd(_pose(), _pose(), tpl, IDENTITY, K)
 
+    def test_symmetric_gt_behind_camera_rejected(self):
+        # est and the identity's gt point lie in front of the camera; the
+        # flipped gt point, alone in the second symmetry block, does not.
+        tpl = np.array([[0.0, 0.0, 0.5]])
+        flips = sk.SymmetryGroup(np.array([np.eye(3), np.diag([1.0, -1.0, -1.0])]))
+        with mock.patch.object(sk.metrics, "_BLOCK_POINTS", 1):
+            with pytest.raises(ValueError, match="behind camera"):
+                sk.mspd(_pose(t=(0.0, 0.0, 1.0)), _pose(t=(0.0, 0.0, 0.25)), tpl, flips, K)
+
 
 _radii = st.floats(0.03, 0.08)
 _heights = st.floats(0.05, 0.15)
@@ -198,6 +209,64 @@ class TestSymmetryProperties:
             assert sk.mspd(est, gt, tpl, group, K) <= 1e-9
 
 
+# The three built-in groups and one user-built stack (any proper rotations
+# are accepted, group or not).
+_METRIC_GROUPS = (
+    sk.symmetry_group(_shape(0.5, 0.5, 0.03, 0.05, 0.1)),
+    sk.symmetry_group(_shape(0.5, 0.5, 0.04, 0.04, 0.1)),
+    sk.symmetry_group(_shape(0.5, 1.0, 0.04, 0.04, 0.1)),
+    sk.SymmetryGroup(np.array([quat_to_matrix(random_quaternion(np.random.default_rng(s)))
+                               for s in range(2)])),
+)
+# Template points times symmetries the scalar oracles run per example.
+_ORACLE_BUDGET = 12_288
+# Intrinsics with fx != fy and cx != cy, as in the benchmark.
+_K_BENCH = sk.CameraIntrinsics(fx=500.0, fy=480.0, cx=320.0, cy=240.0)
+
+
+def _sheared_pose(rng):
+    """Random rotation times scale plus shear, 0.6-1.0 m in front of the camera."""
+    M, t = sk.compose_affine(quat_to_matrix(random_quaternion(rng)), rng.uniform(0.02, 0.15, 3),
+                             rng.uniform(-0.02, 0.02, 3),
+                             (rng.uniform(-0.1, 0.1), rng.uniform(-0.1, 0.1),
+                              rng.uniform(0.6, 1.0)))
+    return sk.PoseHypothesis(M, t)
+
+
+@st.composite
+def _metric_cases(draw):
+    """(group, template, est, gt): templates from 1 point to past _BLOCK_POINTS,
+    with the sizes at each group's block edges drawn on purpose."""
+    group = draw(st.sampled_from(_METRIC_GROUPS))
+    m = len(group.rotations)
+    cap = _ORACLE_BUDGET // m
+    block = sk.metrics._BLOCK_POINTS
+    edges = [v for v in (1, block // m, block // m + 1, block, block + 1) if v <= cap]
+    n = draw(st.one_of(st.sampled_from(edges), st.integers(1, cap)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return group, rng.uniform(-1.0, 1.0, (n, 3)), _sheared_pose(rng), _sheared_pose(rng)
+
+
+def _past_one_block():
+    """A fixed case whose template alone is larger than one block."""
+    rng = np.random.default_rng(9)
+    tpl = rng.uniform(-1.0, 1.0, (sk.metrics._BLOCK_POINTS + 1, 3))
+    return _METRIC_GROUPS[3], tpl, _sheared_pose(rng), _sheared_pose(rng)
+
+
+class TestOracleProperties:
+    """MSSD and MSPD equal the scalar double-loop oracles, bit for bit."""
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=40)
+    @given(_metric_cases())
+    @example(_past_one_block())
+    def test_metrics_equal_oracles(self, case):
+        group, tpl, est, gt = case
+        assert sk.mssd(est, gt, tpl, group) == mssd_oracle(est, gt, tpl, group.rotations)
+        assert (sk.mspd(est, gt, tpl, group, _K_BENCH)
+                == mspd_oracle(est, gt, tpl, group.rotations, _K_BENCH))
+
+
 class TestAccuracyCurve:
     def test_all_zero_errors(self):
         npt.assert_array_equal(sk.accuracy_curve([0.0, 0.0], [0.1, 0.2]), [1.0, 1.0])
@@ -225,3 +294,8 @@ class TestAccuracyCurve:
         with pytest.raises(ValueError):
             sk.accuracy_curve([1.0], [2.0, 1.0])
 
+    def test_nan_threshold_rejected(self):
+        # NaN fails every comparison, so it passes a test for a descending pair.
+        for thresholds in ([1.0, np.nan, 0.1], [np.nan], [np.nan, 1.0], [0.1, np.nan]):
+            with pytest.raises(ValueError):
+                sk.accuracy_curve([0.5, 2.0], thresholds)

@@ -19,6 +19,13 @@ class TestShapeGrid:
         assert grid.n_categories == 25
         assert grid.eps1_values == (0.0, 0.25, 0.5, 0.75, 1.0)
 
+    def test_default_grid_is_one_frozen_instance(self):
+        grid = sk.default_grid()
+        assert sk.default_grid() is grid
+        assert grid.eps2_values == grid.eps1_values
+        with pytest.raises(AttributeError):
+            grid.eps1_values = (0.0, 1.0)
+
     def test_row_major_ids(self):
         grid = sk.default_grid()
         cat = grid.category(12)
@@ -180,6 +187,23 @@ class TestSymmetryGroup:
         group = sk.symmetry_group(sk.Superquadric(0.4, 0.6, np.array([1.0, 2.0, 3.0])))
         with pytest.raises(ValueError):
             group.rotations[0, 0, 0] = 2.0
+
+    def test_repeated_calls_give_the_closed_forms(self):
+        flips = np.array([np.diag(d) for d in ((1, 1, 1), (1, -1, -1), (-1, 1, -1), (-1, -1, 1))],
+                         dtype=float)
+        quarter = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
+        order8 = np.concatenate([flips, flips @ quarter])
+        revolution = np.concatenate([rotation_about_z(2.0 * np.pi * k / 36) @ order8
+                                     for k in range(9)])
+        for scale, eps2, closed in (([1.0, 2.0, 3.0], 0.7, flips),
+                                    ([1.0, 1.0, 3.0], 0.7, order8),
+                                    ([1.0, 1.0, 3.0], 1.0, revolution)):
+            sq = sk.Superquadric(0.4, eps2, np.array(scale))
+            for _ in range(3):
+                R = sk.symmetry_group(sq).rotations
+                assert not R.flags.writeable
+                assert R.shape == closed.shape
+                assert R.tobytes() == closed.tobytes()
 
     def test_rejects_malformed_stack(self):
         flip = np.diag([1.0, -1.0, -1.0])
