@@ -291,32 +291,48 @@ def sample_surface(sq, n, seed=0):
     n = int(n)
     if n < 1:
         raise ValueError("sample count must be >= 1")
-    rng = np.random.default_rng(seed)
-    n_om = int(np.ceil(np.sqrt(2.0 * n)))
-    n_eta = int(np.ceil(n / n_om))
+    n_eta, n_om = _surface_grid(n)
     total = n_eta * n_om
+    return _surface_cells(sq, n, seed, (np.arange(n) * total) // n if total > n else None)
 
-    jitter = rng.uniform(0.05, 0.95, size=(2, n_eta, n_om))
-    i = np.arange(n_eta)[:, None]
-    j = np.arange(n_om)[None, :]
-    eta = -0.5 * np.pi + (i + jitter[0]) * (np.pi / n_eta)
-    omega = -np.pi + (j + jitter[1]) * (2.0 * np.pi / n_om)
+
+def _surface_grid(n):
+    """(n_eta, n_om): the rows and columns of `sample_surface`'s angle grid for n points."""
+    n_om = int(np.ceil(np.sqrt(2.0 * n)))
+    return int(np.ceil(n / n_om)), n_om
+
+
+def _surface_cells(sq, n, seed, cells=None):
+    """The points `sample_surface(sq, n, seed)` builds at the given grid cells.
+
+    `cells` holds flat row-major indices into the n_eta x n_om grid, in any
+    order and with repeats; None means every cell in order. The whole
+    jitter stream is drawn either way, and cos, sin and the powers run only
+    at the cells asked for, so each point equals the full grid's bit for
+    bit. Returns a (len(cells), 3) array of world points.
+    """
+    n_eta, n_om = _surface_grid(n)
+    jitter = np.random.default_rng(seed).uniform(0.05, 0.95, size=(2, n_eta, n_om))
+    if cells is None:
+        i = np.arange(n_eta)[:, None]
+        j = np.arange(n_om)[None, :]
+        jitter_eta, jitter_om = jitter
+    else:
+        cells = np.asarray(cells, dtype=np.intp)
+        i = cells // n_om
+        j = cells - i * n_om
+        jitter_eta, jitter_om = (part.ravel()[cells] for part in jitter)
+    eta = -0.5 * np.pi + (i + jitter_eta) * (np.pi / n_eta)
+    omega = -np.pi + (j + jitter_om) * (2.0 * np.pi / n_om)
 
     ce = _signed_pow(np.cos(eta), sq.eps1)
     se = _signed_pow(np.sin(eta), sq.eps1)
     co = _signed_pow(np.cos(omega), sq.eps2)
     so = _signed_pow(np.sin(omega), sq.eps2)
     ax, ay, az = sq.scale
-    # Coordinate rows until the end: gathers and the pose then run on
-    # contiguous arrays, with local_to_world's arithmetic.
-    local = [
-        (ax * ce * co).ravel(),
-        (ay * ce * so).ravel(),
-        (az * se * np.ones_like(omega)).ravel(),
-    ]
-    if total > n:
-        keep = (np.arange(n) * total) // n
-        local = [row[keep] for row in local]
+    # Coordinate rows until the end: the pose then runs on contiguous
+    # arrays, with local_to_world's arithmetic.
+    local = [(ax * ce * co).ravel(), (ay * ce * so).ravel(), (az * se).ravel()]
     world = _linear_rows(sq.rotation_matrix, *local)
     for row, t in zip(world, sq.translation):
         row += t

@@ -7,6 +7,7 @@ largest 3D correspondence distance; MSPD does the same in pixels after
 pinhole projection.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,7 +57,7 @@ class CameraIntrinsics:
     def __post_init__(self):
         for name in ("fx", "fy", "cx", "cy"):
             v = float(getattr(self, name))
-            if not np.isfinite(v):
+            if not math.isfinite(v):
                 raise ValueError(f"{name} must be finite")
             object.__setattr__(self, name, v)
         if self.fx <= 0 or self.fy <= 0:

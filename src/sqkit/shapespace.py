@@ -11,12 +11,15 @@ cross-sections make z a revolution axis. Each group is stored as data: one
 """
 
 import functools
+import math
+import operator
 import pathlib
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import EPS_MIN, Superquadric, farthest_point_sample, sample_surface
+from .core import (EPS_MIN, Superquadric, _surface_cells, farthest_point_sample,
+                   sample_surface)
 from .rotations import is_rotation_matrix, rotation_about_z
 
 # Size of the dense surface sample a template is farthest-point-sampled from;
@@ -78,11 +81,15 @@ class ShapeGrid:
         return len(self.eps1_values) * len(self.eps2_values)
 
     def category(self, category_id):
-        n2 = len(self.eps2_values)
-        if not 0 <= category_id < self.n_categories:
+        """The node with this id; only integers (Python or numpy) are ids."""
+        try:
+            k = operator.index(category_id)
+        except TypeError:
+            raise ValueError(f"category id must be an integer, got {category_id!r}") from None
+        if not 0 <= k < self.n_categories:
             raise ValueError(f"category id {category_id} out of range")
-        i1, i2 = divmod(int(category_id), n2)
-        return ShapeCategory(int(category_id), self.eps1_values[i1], self.eps2_values[i2])
+        i1, i2 = divmod(k, len(self.eps2_values))
+        return ShapeCategory(k, self.eps1_values[i1], self.eps2_values[i2])
 
     def categories(self):
         return [self.category(i) for i in range(self.n_categories)]
@@ -109,15 +116,12 @@ def categorize(eps1, eps2, grid):
         raise ValueError("exponents must lie in [0, 2]")
     if eps2 > 1.0:
         raise ValueError("eps2 > 1 is not canonical; canonicalize before categorizing")
-    e1 = np.asarray(grid.eps1_values)
-    e2 = np.asarray(grid.eps2_values)
-    d2 = (e1[:, None] - eps1) ** 2 + (e2[None, :] - eps2) ** 2
-    return int(np.argmin(d2.ravel()))
-
-
-def _dense_sample(exponents, dense_n, seed):
-    unit = Superquadric(*exponents, scale=np.ones(3))
-    return sample_surface(unit, dense_n, seed)
+    # Squared distances on Python floats, summed in row-major id order; the
+    # first minimum wins.
+    d1 = [(v - eps1) * (v - eps1) for v in grid.eps1_values]
+    d2 = [(v - eps2) * (v - eps2) for v in grid.eps2_values]
+    sums = [a + b for a in d1 for b in d2]
+    return sums.index(min(sums))
 
 
 def _floored(category):
@@ -126,11 +130,9 @@ def _floored(category):
 
 def _fps_order_table():
     """The stored FPS orders, recomputed: (25, _STORED_PICKS) int16, row = id."""
-    return np.array([
-        farthest_point_sample(_dense_sample(_floored(c), DENSE_SAMPLE_SIZE, 0),
-                              _STORED_PICKS, start=0)
-        for c in default_grid().categories()
-    ], dtype=np.int16)
+    units = (Superquadric(*_floored(c), scale=np.ones(3)) for c in default_grid().categories())
+    return np.array([farthest_point_sample(sample_surface(u, DENSE_SAMPLE_SIZE, 0), _STORED_PICKS)
+                     for u in units], dtype=np.int16)
 
 
 @functools.cache
@@ -153,7 +155,8 @@ def template_points(category, n=512, dense_n=DENSE_SAMPLE_SIZE, seed=0):
     the indices are the first n of the order shipped beside this module, and
     greedy FPS is skipped. That is exact, not an approximation: each greedy
     pick depends only on the picks before it, so the first n picks of a longer
-    run are the n-pick run. Every other request runs FPS.
+    run are the n-pick run. Only those n points of the dense sample are then
+    computed, to the same bits. Every other request runs FPS.
     """
     n = int(n)
     dense_n = int(dense_n)
@@ -162,13 +165,13 @@ def template_points(category, n=512, dense_n=DENSE_SAMPLE_SIZE, seed=0):
     if n > dense_n:
         raise ValueError(f"template size {n} exceeds dense sample size {dense_n}")
     exponents = _floored(category)
-    dense = _dense_sample(exponents, dense_n, seed)
-    order = None
+    unit = Superquadric(*exponents, scale=np.ones(3))
     if seed == 0 and dense_n == DENSE_SAMPLE_SIZE and n <= _STORED_PICKS:
         order = _stored_fps_orders().get(exponents)
-    if order is None:
-        return dense[farthest_point_sample(dense, n, start=0)]
-    return dense[order[:n]]
+        if order is not None:
+            return _surface_cells(unit, dense_n, seed, order[:n])
+    dense = sample_surface(unit, dense_n, seed)
+    return dense[farthest_point_sample(dense, n, start=0)]
 
 
 @dataclass(frozen=True, eq=False)
@@ -204,9 +207,12 @@ def symmetry_group(sq, rel_tol=1e-3):
     axis (order 4). Equal radial scales add a quarter turn about z (order 8),
     and a circular cross-section (eps2 near 1) makes z a revolution axis,
     discretized at 10-degree spins for metric evaluation (72 elements).
-    The groups are built once, so every call returns one of three shared,
-    read-only instances.
+    "Equal" and "near" are up to the relative tolerance rel_tol, which must
+    be finite and >= 0. The groups are built once, so every call returns one
+    of three shared, read-only instances.
     """
+    if not 0.0 <= rel_tol < math.inf:
+        raise ValueError(f"rel_tol must be finite and >= 0, got {rel_tol}")
     if sq.eps2 > 1.0:
         raise ValueError("symmetry requires a canonical shape (eps2 <= 1)")
     ax, ay, _ = sq.scale

@@ -289,6 +289,36 @@ class TestSampleSurface:
         npt.assert_array_equal(sk.sample_surface(sq, n, seed), sample_surface_oracle(sq, n, seed))
 
 
+@st.composite
+def surface_cells_cases(draw):
+    """A posed shape, a size whose grid holds more cells than it keeps, and cell indices."""
+    n = draw(st.integers(1, 3000).filter(lambda n: np.prod(core._surface_grid(n)) > n))
+    total = int(np.prod(core._surface_grid(n)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    sq = sk.Superquadric(draw(st.floats(sk.EPS_MIN, 2.0)), draw(st.floats(sk.EPS_MIN, 2.0)),
+                         rng.uniform(0.01, 0.3, 3), random_quaternion(rng),
+                         rng.uniform(-1.0, 1.0, 3))
+    # unsorted, with repeats drawn on purpose
+    cells = draw(st.lists(st.integers(0, total - 1), min_size=1, max_size=64))
+    cells += draw(st.lists(st.sampled_from(cells), max_size=8))
+    return sq, n, draw(st.integers(0, 2**32 - 1)), cells
+
+
+class TestSurfaceCells:
+    """`core._surface_cells`: the points of chosen grid cells, as the full grid has them."""
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=200)
+    @given(surface_cells_cases())
+    def test_equals_the_full_grid_gathered(self, case):
+        sq, n, seed, cells = case
+        grid = core._surface_cells(sq, n, seed)
+        assert grid.shape == (int(np.prod(core._surface_grid(n))), 3)
+        npt.assert_array_equal(core._surface_cells(sq, n, seed, cells), grid[cells])
+        # sample_surface keeps every (total/n)-th cell through the subset path
+        total = grid.shape[0]
+        npt.assert_array_equal(grid[(np.arange(n) * total) // n], sk.sample_surface(sq, n, seed))
+
+
 # ---------------------------------------------------------------------------
 # farthest_point_sample
 # ---------------------------------------------------------------------------

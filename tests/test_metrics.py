@@ -41,6 +41,11 @@ class TestProject:
     def test_intrinsics_validation(self):
         with pytest.raises(ValueError):
             sk.CameraIntrinsics(fx=-1.0, fy=500.0, cx=0.0, cy=0.0)
+        for field in ("fx", "fy", "cx", "cy"):
+            for bad in (np.nan, np.inf, -np.inf):
+                values = {"fx": 500.0, "fy": 500.0, "cx": 0.0, "cy": 0.0, field: bad}
+                with pytest.raises(ValueError, match=f"{field} must be finite"):
+                    sk.CameraIntrinsics(**values)
         npt.assert_array_equal(K.matrix[0], [500.0, 0.0, 320.0])
 
 

@@ -6,6 +6,8 @@ from unittest import mock
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sqkit as sk
 from conftest import fps_full_pass
@@ -42,6 +44,16 @@ class TestShapeGrid:
         with pytest.raises(ValueError):
             sk.default_grid().category(25)
 
+    @pytest.mark.parametrize("category_id", [2.5, np.float64(3.9), 2.0, "3", None])
+    def test_rejects_non_integral_ids(self, category_id):
+        with pytest.raises(ValueError, match="must be an integer"):
+            sk.default_grid().category(category_id)
+
+    def test_numpy_integer_ids(self):
+        cat = sk.default_grid().category(np.int64(12))
+        assert cat == sk.default_grid().category(12)
+        assert type(cat.id) is int
+
 
 class TestCategorize:
     def test_corner_nodes(self):
@@ -70,6 +82,22 @@ class TestCategorize:
             sk.categorize(-0.1, 0.5, sk.default_grid())
         with pytest.raises(ValueError):
             sk.categorize(2.1, 0.5, sk.default_grid())
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=500)
+    @given(st.data())
+    def test_matches_numpy_formulation(self, data):
+        """The nearest node as an argmin over the broadcast (e1 - eps1)**2 + (e2 - eps2)**2."""
+        values = st.lists(st.floats(0.0, 1.0), min_size=2, max_size=7, unique=True).map(sorted)
+        grid = data.draw(st.just(sk.default_grid())
+                         | st.builds(sk.ShapeGrid, values, values), label="grid")
+        e1, e2 = np.array(grid.eps1_values), np.array(grid.eps2_values)
+        # nodes, and exact midpoints between neighbouring nodes, tie on purpose
+        mids1 = (e1[:-1] + e1[1:]) / 2.0
+        mids2 = (e2[:-1] + e2[1:]) / 2.0
+        eps1 = data.draw(st.floats(0.0, 2.0) | st.sampled_from(np.r_[e1, mids1].tolist()))
+        eps2 = data.draw(st.floats(0.0, 1.0) | st.sampled_from(np.r_[e2, mids2].tolist()))
+        d2 = (e1[:, None] - eps1) ** 2 + (e2[None, :] - eps2) ** 2
+        assert sk.categorize(eps1, eps2, grid) == int(np.argmin(d2.ravel()))
 
 
 class TestTemplatePoints:
@@ -137,6 +165,28 @@ class TestStoredFpsOrder:
             got = sk.template_points(category, n=n, dense_n=dense_n, seed=seed)
         assert fps.called != stored
         npt.assert_array_equal(got, dense[fps_full_pass(dense, n, 0)])
+
+
+class TestStoredTemplates:
+    """Stored-order templates sample only the points they keep, to the dense sample's bits."""
+
+    @pytest.mark.parametrize("n", [1, 100, 512])
+    def test_every_default_node_without_fps_or_dense_sample(self, n):
+        orders = np.load(shapespace._FPS_ORDER_PATH)
+        expected = []
+        for cat in sk.default_grid().categories():
+            unit = sk.Superquadric(max(cat.eps1, sk.EPS_MIN), max(cat.eps2, sk.EPS_MIN),
+                                   np.ones(3))
+            expected.append(sk.sample_surface(unit, shapespace.DENSE_SAMPLE_SIZE, 0)
+                            [orders[cat.id, :n]])
+        with mock.patch.object(shapespace, "farthest_point_sample",
+                               wraps=sk.farthest_point_sample) as fps, \
+                mock.patch.object(shapespace, "sample_surface", wraps=sk.sample_surface) as dense:
+            got = [sk.template_points(cat, n=n) for cat in sk.default_grid().categories()]
+        assert not fps.called and not dense.called
+        for g, e in zip(got, expected):
+            assert g.shape == (n, 3)
+            assert g.tobytes() == e.tobytes()
 
 
 def _pairwise_gaps(a, b):
@@ -232,6 +282,18 @@ class TestSymmetryGroup:
         sq = sk.Superquadric(0.5, 1.5, np.array([1.0, 1.0, 1.0]))
         with pytest.raises(ValueError):
             sk.symmetry_group(sq)
+
+    @pytest.mark.parametrize("rel_tol", [np.nan, np.inf, -np.inf, -1e-3])
+    def test_rejects_bad_tolerance(self, rel_tol):
+        # a NaN tolerance failed both comparisons and gave the 72-element group
+        sq = sk.Superquadric(0.4, 0.5, np.array([1.0, 2.0, 3.0]))
+        with pytest.raises(ValueError, match="rel_tol"):
+            sk.symmetry_group(sq, rel_tol=rel_tol)
+
+    def test_zero_tolerance_needs_exact_equality(self):
+        assert len(sk.symmetry_group(sk.Superquadric(0.4, 1.0, np.ones(3)), 0.0).rotations) == 72
+        sq = sk.Superquadric(0.4, 1.0, np.array([1.0, 1.0 + 1e-12, 1.0]))
+        assert len(sk.symmetry_group(sq, rel_tol=0.0).rotations) == 4
 
 
 class TestExpandSymmetries:
