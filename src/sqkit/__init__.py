@@ -6,8 +6,6 @@ the shape space into categories with per-instance symmetry groups, and scores
 pose hypotheses with symmetry-aware surface and projection metrics.
 """
 
-import importlib
-
 from .canonical import (
     CanonicalizationResult,
     canonicalize,
@@ -24,6 +22,25 @@ from .core import (
     radial_distance,
     sample_surface,
     surface_hausdorff,
+)
+from .fileio import (
+    GenConfig,
+    ParamsRecord,
+    ParseError,
+    gen_synthetic,
+    parse_params,
+    parse_ply,
+    record_from_superquadric,
+    write_params,
+    write_ply,
+)
+from .fitting import (
+    DegenerateCloudError,
+    FitConfig,
+    FitResult,
+    UnderDeterminedError,
+    fit,
+    initial_guesses,
 )
 from .metrics import (
     CameraIntrinsics,
@@ -45,30 +62,6 @@ from .shapespace import (
 )
 
 __version__ = "0.1.0"
-
-# Fitting and file I/O load on first use, so a fresh `import sqkit` compiles
-# and runs only what canonicalizing, categorizing and scoring need.
-_LAZY = {
-    "fileio": ("GenConfig", "ParamsRecord", "ParseError", "gen_synthetic", "parse_params",
-               "parse_ply", "record_from_superquadric", "write_params", "write_ply"),
-    "fitting": ("DegenerateCloudError", "FitConfig", "FitResult", "UnderDeterminedError", "fit",
-                "initial_guesses"),
-}
-_LAZY_MODULE = {name: module for module, names in _LAZY.items() for name in names}
-
-
-def __getattr__(name):
-    if name in _LAZY:
-        return importlib.import_module(f".{name}", __name__)
-    if name not in _LAZY_MODULE:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(importlib.import_module(f".{_LAZY_MODULE[name]}", __name__), name)
-    globals()[name] = value
-    return value
-
-
-def __dir__():
-    return sorted(set(globals()) | set(_LAZY_MODULE))
 
 __all__ = [
     "EPS_MIN",

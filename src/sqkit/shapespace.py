@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (EPS_MIN, Superquadric, _surface_cells, farthest_point_sample,
+from .core import (EPS_MIN, Superquadric, _surface_cells, _surface_grid, farthest_point_sample,
                    sample_surface)
 from .rotations import is_rotation_matrix, rotation_about_z
 
@@ -169,7 +169,11 @@ def template_points(category, n=512, dense_n=DENSE_SAMPLE_SIZE, seed=0):
     if seed == 0 and dense_n == DENSE_SAMPLE_SIZE and n <= _STORED_PICKS:
         order = _stored_fps_orders().get(exponents)
         if order is not None:
-            return _surface_cells(unit, dense_n, seed, order[:n])
+            # Sample index k sits at grid cell k * total // dense_n, as
+            # sample_surface keeps it (k itself when the grid is full).
+            total = math.prod(_surface_grid(dense_n))
+            cells = order[:n].astype(np.intp) * total // dense_n
+            return _surface_cells(unit, dense_n, seed, cells)
     dense = sample_surface(unit, dense_n, seed)
     return dense[farthest_point_sample(dense, n, start=0)]
 

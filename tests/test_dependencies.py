@@ -70,42 +70,14 @@ import sqkit
 print(json.dumps({{
     "stored_orders": sqkit.shapespace._stored_fps_orders.cache_info().currsize,
     "sampled": sorted(calls & {{"sample_surface", "_surface_cells", "farthest_point_sample"}}),
-    "loaded": sorted(m for m in ("sqkit.fileio", "sqkit.fitting") if m in sys.modules),
 }}))
 """
 
 
-@pytest.mark.parametrize("modules, loaded", [
-    ("sqkit", []),
-    ("sqkit.cli", ["sqkit.fileio", "sqkit.fitting"]),
-])
-def test_fresh_import_builds_no_template(modules, loaded):
-    """Set-up costs nothing until asked for: no stored order loaded and no surface
-    sampled; `import sqkit` loads neither the fitter nor file I/O, the CLI both."""
+@pytest.mark.parametrize("modules", ["sqkit", "sqkit.cli"])
+def test_fresh_import_builds_no_template(modules):
+    """Templates cost nothing until asked for: a fresh import loads no stored
+    order and samples no surface."""
     proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE.format(modules=modules)],
                           capture_output=True, text=True, check=True)
-    assert json.loads(proc.stdout) == {"stored_orders": 0, "sampled": [], "loaded": loaded}
-
-
-def test_lazy_names_resolve_to_their_modules():
-    code = """
-import sqkit
-from sqkit import fileio, fitting
-names = {name for names in sqkit._LAZY.values() for name in names}
-assert names <= set(sqkit.__all__) <= set(dir(sqkit))
-assert all(getattr(sqkit, n) is getattr(fitting if n in sqkit._LAZY["fitting"] else fileio, n)
-           for n in names)
-assert sqkit.fitting is fitting
-try:
-    sqkit.no_such_name
-except AttributeError:
-    pass
-else:
-    raise AssertionError("unknown attribute resolved")
-ns = {}
-exec("from sqkit import *", ns)
-assert set(sqkit.__all__) <= set(ns)
-print("ok")
-"""
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
-    assert proc.stdout.strip() == "ok"
+    assert json.loads(proc.stdout) == {"stored_orders": 0, "sampled": []}

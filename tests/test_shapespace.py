@@ -188,6 +188,18 @@ class TestStoredTemplates:
             assert g.shape == (n, 3)
             assert g.tobytes() == e.tobytes()
 
+    def test_stored_indices_follow_the_keep_rule_on_a_partial_grid(self):
+        """Stored indices index the dense sample, not the grid, when the grid has
+        more cells than the sample keeps (1,000 points on 23 x 45 cells)."""
+        cat = sk.default_grid().category(7)
+        unit = sk.Superquadric(cat.eps1, cat.eps2, np.ones(3))
+        order = np.random.default_rng(3).permutation(1000)[:64].astype(np.int16)
+        with mock.patch.object(shapespace, "DENSE_SAMPLE_SIZE", 1000), \
+                mock.patch.object(shapespace, "_stored_fps_orders",
+                                  lambda: {(cat.eps1, cat.eps2): order}):
+            got = sk.template_points(cat, n=64, dense_n=1000)
+        assert got.tobytes() == sk.sample_surface(unit, 1000, 0)[order].tobytes()
+
 
 def _pairwise_gaps(a, b):
     """Largest entry difference between every matrix of stack a and of stack b."""
