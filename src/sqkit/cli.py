@@ -143,7 +143,10 @@ def _cmd_canon(args):
     result = canonicalize(record.to_superquadric())
     matrix, translation = result.compose()
     rotation, scale, shear = decompose_scale_shear(matrix)
-    out = record_from_superquadric(result.canonical, shear=shear)
+    # The record's shear is the fold's own: exactly 0 when nothing was
+    # folded, not the rounding that the polar split above leaves behind.
+    warp = result.scale_matrix
+    out = record_from_superquadric(result.canonical, shear=(warp[0, 1], warp[0, 2], warp[1, 2]))
     _write(args.output, write_params(out))
     report = {
         "warped": result.warped,

@@ -99,35 +99,23 @@ class Superquadric:
 
     def world_to_local(self, points):
         """Map world points into the superquadric's local frame."""
-        pts = as_points(points)
-        return _apply_linear(self.rotation_matrix.T, pts - self.translation)
+        return np.stack(_local_rows(self.rotation_matrix, self.translation, as_points(points)),
+                        axis=1)
 
     def local_to_world(self, points):
         """Map local-frame points into the world frame."""
-        pts = as_points(points)
-        return _apply_linear(self.rotation_matrix, pts) + self.translation
-
-
-def _apply_linear(M, pts):
-    """M @ p for every point p of pts, as (x*M[j,0] + y*M[j,1]) + z*M[j,2] in row j.
-
-    Explicit ufunc formulation (not matmul) keeps the arithmetic order
-    identical to a scalar reference implementation. Either argument may carry
-    leading stack axes: an (m, 3, 3) stack of matrices applied to (n, 3)
-    points gives (m, n, 3), and so does one 3x3 matrix applied to (m, n, 3)
-    points. Each output column is built from the x, y, z slices, so no
-    inner loop runs over an axis of length 3. No caller in the package uses
-    the stack broadcast any more: `mssd` and `mspd` apply their symmetry
-    stacks to coordinate rows with `_linear_rows`.
-    """
-    return np.stack(_linear_rows(M, pts[..., 0], pts[..., 1], pts[..., 2]), axis=-1)
+        return np.stack(_posed_rows(self.rotation_matrix, self.translation,
+                                    *as_points(points).T), axis=1)
 
 
 def _linear_rows(M, x, y, z, out=None):
-    """The three coordinates of M @ p as separate arrays, in `_apply_linear`'s order.
+    """The rows of M @ p as separate arrays: (x*M[j,0] + y*M[j,1]) + z*M[j,2] in row j.
 
-    With `out`, a (3, n) array, the rows are written into it. x, y and z
-    have one shape; the y and z products share one scratch array.
+    Explicit ufuncs (not matmul) keep the arithmetic order of a scalar
+    reference implementation. x, y and z have one shape; M may carry leading
+    stack axes, so an (m, 3, 3) stack applied to (n,) rows gives (m, n)
+    rows. With `out`, a (3, n) array, the rows are written into it. The y
+    and z products share one scratch array.
     """
     rows = []
     tmp = None
@@ -138,6 +126,19 @@ def _linear_rows(M, x, y, z, out=None):
         row += np.multiply(z, M[..., j, 2, None], out=tmp)
         rows.append(row)
     return rows
+
+
+def _posed_rows(M, t, x, y, z):
+    """Coordinate rows of M @ p + t: `_linear_rows`, then t[j] added to row j."""
+    rows = _linear_rows(M, x, y, z)
+    for row, tj in zip(rows, t):
+        row += tj
+    return rows
+
+
+def _local_rows(R, t, pts):
+    """Coordinate rows of R^T (p - t) for each point p of an (n, 3) array."""
+    return _linear_rows(R.T, *(pts[:, j] - t[j] for j in range(3)))
 
 
 def _signed_pow(base, exponent):
@@ -275,9 +276,7 @@ def radial_distance(sq, points):
     the true Euclidean distance in general. A point exactly at the center is
     reported at min(scale).
     """
-    pts = as_points(points)
-    t = sq.translation
-    local = _linear_rows(sq.rotation_matrix.T, *(pts[:, j] - t[j] for j in range(3)))
+    local = _local_rows(sq.rotation_matrix, sq.translation, as_points(points))
     return _radial_residual(sq.eps1, sq.eps2, sq.scale, local)
 
 
@@ -330,13 +329,9 @@ def _surface_cells(sq, n, seed, cells=None):
     co = _signed_pow(np.cos(omega), sq.eps2)
     so = _signed_pow(np.sin(omega), sq.eps2)
     ax, ay, az = sq.scale
-    # Coordinate rows until the end: the pose then runs on contiguous
-    # arrays, with local_to_world's arithmetic.
+    # Coordinate rows until the end: the pose then runs on contiguous arrays.
     local = [(ax * ce * co).ravel(), (ay * ce * so).ravel(), (az * se).ravel()]
-    world = _linear_rows(sq.rotation_matrix, *local)
-    for row, t in zip(world, sq.translation):
-        row += t
-    return np.stack(world, axis=1)
+    return np.stack(_posed_rows(sq.rotation_matrix, sq.translation, *local), axis=1)
 
 
 def farthest_point_sample(points, k, start=0):

@@ -19,7 +19,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import EPS_MIN, EPS_MAX, Superquadric, _linear_rows, _radial_residual, as_points
+from .core import (EPS_MIN, EPS_MAX, Superquadric, _linear_rows, _local_rows, _radial_residual,
+                   as_points)
 from .rotations import matrix_to_quat, quat_mul, quat_normalize, quat_to_matrix
 
 
@@ -129,7 +130,7 @@ def _residuals(x, q, pts):
     the transpose of an (11, n) array filled row by row.
     """
     rot = quat_to_matrix(q)
-    local = _linear_rows(rot.T, *(pts[:, j] - x[8 + j] for j in range(3)))
+    local = _local_rows(rot, x[8:11], pts)
     jac = np.empty((_N_PARAMS, pts.shape[0]))
     res, (gx, gy, gz) = _radial_residual(x[0], x[1], x[2:5], local, d_shape=jac[0:5])
     lx, ly, lz = local

@@ -9,10 +9,11 @@ pinhole projection.
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
-from .core import _linear_rows, as_points
+from .core import _linear_rows, _posed_rows, as_points
 from .shapespace import expand_symmetries
 
 # Template points times symmetries per broadcast block: each coordinate row of
@@ -42,7 +43,7 @@ class PoseHypothesis:
         object.__setattr__(self, "translation", t)
 
     def apply(self, points):
-        return np.stack(_posed_rows(self, *as_points(points).T), axis=1)
+        return np.stack(_posed_rows(self.matrix, self.translation, *as_points(points).T), axis=1)
 
 
 @dataclass(frozen=True)
@@ -98,25 +99,33 @@ def project(intrinsics, points):
     return uv[0] if single else uv
 
 
-def _posed_rows(pose, x, y, z):
-    """Coordinate rows of matrix @ p + translation, the matrix applied in `_linear_rows`' order."""
-    rows = _linear_rows(pose.matrix, x, y, z)
-    for row, t in zip(rows, pose.translation):
-        row += t
-    return rows
+def _min_max(est, gt, template, group, observe):
+    """min over symmetries S of max over points x of |observe(est(x)) - observe(gt(S x))|.
 
-
-def _symmetric_gt(gt, rows, group):
-    """Yield the x, y, z rows, each (k, n), of world points gt(S x), k symmetries S at a time.
-
-    `rows` is the template as (3, n) coordinate rows. One broadcast per
-    block of at most _BLOCK_POINTS points keeps each row near 32 KB,
-    however large the group.
+    `observe` maps x, y, z coordinate rows to the rows compared. The
+    template is transposed once into contiguous (3, n) rows, and the
+    ground-truth rows come as (k, n) arrays, k symmetries at a time, so one
+    broadcast per block of at most _BLOCK_POINTS points keeps each row near
+    32 KB however large the group. Squared differences are summed in row
+    order, (d0*d0 + d1*d1) + d2*d2, and the square root is taken last: it is
+    monotonic, so that changes no bit.
     """
+    rows = np.ascontiguousarray(as_points(template).T)
+    seen = observe(*_posed_rows(est.matrix, est.translation, *rows))
     rotations = expand_symmetries(group)
     k = max(1, _BLOCK_POINTS // rows.shape[1])
+    best = np.inf
     for i in range(0, len(rotations), k):
-        yield _posed_rows(gt, *_linear_rows(rotations[i:i + k], *rows))
+        sym = _linear_rows(rotations[i:i + k], *rows)
+        diffs = observe(*_posed_rows(gt.matrix, gt.translation, *sym))
+        for e, d in zip(seen, diffs):
+            np.subtract(e, d, out=d)
+            d *= d
+        total = diffs[0]
+        for d in diffs[1:]:
+            total += d
+        best = min(best, total.max(axis=1).min())
+    return float(np.sqrt(best))
 
 
 def mssd(est, gt, template, group):
@@ -125,21 +134,7 @@ def mssd(est, gt, template, group):
     min over symmetries S of max over template points x of
     ||est(x) - gt(S x)||.
     """
-    rows = np.ascontiguousarray(as_points(template).T)
-    ex, ey, ez = _posed_rows(est, *rows)
-    best = np.inf
-    for dx, dy, dz in _symmetric_gt(gt, rows, group):
-        np.subtract(ex, dx, out=dx)
-        np.subtract(ey, dy, out=dy)
-        np.subtract(ez, dz, out=dz)
-        dx *= dx
-        dy *= dy
-        dz *= dz
-        dx += dy
-        dx += dz
-        best = min(best, dx.max(axis=1).min())
-    # sqrt is monotonic, so taking it after the max and min changes no bit.
-    return float(np.sqrt(best))
+    return _min_max(est, gt, template, group, lambda x, y, z: (x, y, z))
 
 
 def mspd(est, gt, template, group, intrinsics):
@@ -148,18 +143,7 @@ def mspd(est, gt, template, group, intrinsics):
     Same min-max as mssd but measured between pinhole projections; every
     transformed template point must land in front of the camera.
     """
-    rows = np.ascontiguousarray(as_points(template).T)
-    eu, ev = _project_rows(intrinsics, *_posed_rows(est, *rows))
-    best = np.inf
-    for pts in _symmetric_gt(gt, rows, group):
-        du, dv = _project_rows(intrinsics, *pts)
-        np.subtract(eu, du, out=du)
-        np.subtract(ev, dv, out=dv)
-        du *= du
-        dv *= dv
-        du += dv
-        best = min(best, du.max(axis=1).min())
-    return float(np.sqrt(best))
+    return _min_max(est, gt, template, group, partial(_project_rows, intrinsics))
 
 
 def accuracy_curve(errors, thresholds):

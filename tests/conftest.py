@@ -10,9 +10,10 @@ import os
 from pathlib import Path
 
 import numpy as np
+from hypothesis import settings
 
 from sqkit import EPS_MIN, Superquadric
-from sqkit.core import EPS_MAX, _apply_linear
+from sqkit.core import EPS_MAX
 from sqkit.fitting import (_RMS_FLOOR_REL, _SCALE_BOUNDS, _huber_weights, _objective, _pack,
                            _residuals)
 from sqkit.rotations import (quat_from_axis_angle, quat_from_rotvec, quat_mul, quat_normalize,
@@ -22,6 +23,11 @@ from sqkit.rotations import (quat_from_axis_angle, quat_from_rotvec, quat_mul, q
 # from this tree as well, whether or not the package is installed.
 _SRC = str(Path(__file__).resolve().parents[1] / "src")
 os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")]))
+
+# Every property test runs the same examples on every run and keeps no
+# example database; each test sets only its own max_examples.
+settings.register_profile("sqkit", derandomize=True, database=None, deadline=None)
+settings.load_profile("sqkit")
 
 QUARTER_TURN_Z = quat_from_axis_angle((0.0, 0.0, 1.0), np.pi / 2.0)
 
@@ -92,11 +98,13 @@ def fps_oracle(points, k, start):
     return chosen
 
 
-def fps_full_pass(points, k, start):
+def fps_full_pass(points, k, start, margins=None):
     """Greedy farthest point sampling that updates every distance per pick.
 
     Vectorized over the points, in the oracle's (dx*dx + dy*dy) + dz*dz
     order and with its never-re-pick rule; fast enough for large clouds.
+    With `margins`, a list, each pick appends the (best, runner-up) pair of
+    minimum squared distances it chose between.
     """
     pts = np.asarray(points, dtype=float)
     chosen = [start]
@@ -107,15 +115,31 @@ def fps_full_pass(points, k, start):
             d *= d
             np.minimum(d2, (d[:, 0] + d[:, 1]) + d[:, 2], out=d2)
             d2[chosen[-1]] = -np.inf
-            chosen.append(int(np.argmax(d2)))
+            i = int(np.argmax(d2))
+            if margins is not None:
+                best = d2[i]
+                d2[i] = -np.inf
+                margins.append((best, d2.max()))
+                d2[i] = best
+            chosen.append(i)
     return chosen
+
+
+def apply_linear_oracle(M, pts):
+    """M @ p for each row p of an (n, 3) array, built column by column.
+
+    Column j is (x*M[j,0] + y*M[j,1]) + z*M[j,2], the scalar order, written
+    here apart from the library's coordinate-row kernels.
+    """
+    x, y, z = pts[:, 0], pts[:, 1], pts[:, 2]
+    return np.column_stack([(x * M[j, 0] + y * M[j, 1]) + z * M[j, 2] for j in range(3)])
 
 
 def sample_surface_oracle(sq, n, seed=0):
     """`sample_surface` in its (n, 3) formulation.
 
     The local points are stacked into an (total, 3) array, gathered by
-    `local[keep]` and posed by `local_to_world`.
+    `local[keep]` and posed by `apply_linear_oracle` plus the translation.
     """
     n = int(n)
     rng = np.random.default_rng(seed)
@@ -146,7 +170,7 @@ def sample_surface_oracle(sq, n, seed=0):
     if total > n:
         keep = (np.arange(n) * total) // n
         local = local[keep]
-    return sq.local_to_world(local)
+    return apply_linear_oracle(sq.rotation_matrix, local) + sq.translation
 
 
 def _project(x):
@@ -438,10 +462,10 @@ def radial_residual_reference(x, q, pts):
     The earlier formulation of the kernel, on (n, 3) points: two
     np.logaddexp calls, then the weights and entropies recomputed from
     their results by `_softmax_pair`, np.cross for the rotation columns and
-    `_apply_linear` for the local points and the translation columns.
+    `apply_linear_oracle` for the local points and the translation columns.
     """
     rot = quat_to_matrix(q)
-    local = _apply_linear(rot.T, pts - x[8:11])
+    local = apply_linear_oracle(rot.T, pts - x[8:11])
     eps1, eps2 = x[0], x[1]
     ax, ay, az = x[2:5]
     xs, ys, zs = local[:, 0], local[:, 1], local[:, 2]
@@ -481,5 +505,5 @@ def radial_residual_reference(x, q, pts):
     jac = np.empty((res.shape[0], 11))
     jac[:, 0:5] = d_shape
     jac[:, 5:8] = np.cross(d_local, local)
-    jac[:, 8:11] = -_apply_linear(rot, d_local)
+    jac[:, 8:11] = -apply_linear_oracle(rot, d_local)
     return res, jac

@@ -61,7 +61,7 @@ _translations = st.lists(st.floats(-10.0, 10.0), min_size=3, max_size=3)
 superquadrics = st.builds(sk.Superquadric, _exponents, _exponents, _scales, _quaternions,
                           _translations)
 # Deterministic: the same examples on every run, and no example database.
-fold_settings = settings(derandomize=True, database=None, deadline=None, max_examples=300)
+fold_settings = settings(max_examples=300)
 
 
 class TestFoldProperties:

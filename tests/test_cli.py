@@ -274,6 +274,21 @@ class TestCanon:
         assert rec.eps == (1.0, 1.0)
         assert rec.shear == (0.0, 0.0, 0.0)
 
+    def test_canon_twice_on_rotated_record_is_a_fixed_point(self, tmp_path):
+        # An unwarped record keeps its diagonal scale factor, so its shear
+        # is exactly 0, not the SVD rounding of the polar split of
+        # R @ diag(scale), which the second canon would refuse.
+        raw = {"schema_version": 1, "eps": [0.7, 0.6], "scale": [0.05, 0.03, 0.1],
+               "rotation": [0.9, 0.3, -0.2, 0.1], "translation": [0.02, -0.03, 0.8]}
+        raw["rotation"] = list(np.array(raw["rotation"]) / np.linalg.norm(raw["rotation"]))
+        src = tmp_path / "raw.json"
+        src.write_text(json.dumps(raw))
+        once, twice = tmp_path / "once.json", tmp_path / "twice.json"
+        assert main(["canon", "--params", str(src), "--output", str(once)]) == 0
+        assert main(["canon", "--params", str(once), "--output", str(twice)]) == 0
+        assert sk.parse_params(once.read_bytes()).shear == (0.0, 0.0, 0.0)
+        assert twice.read_bytes() == once.read_bytes()
+
     def test_nested_json_params_exits_2(self, tmp_path):
         src = tmp_path / "deep.json"
         src.write_text("[" * 100000 + "]" * 100000)

@@ -1,5 +1,6 @@
 """Core geometry: implicit function, sampling, FPS, and point transforms."""
 
+import math
 import warnings
 from unittest import mock
 
@@ -205,7 +206,7 @@ def lse_pairs(draw):
 class TestLogaddexpPair:
     """`core._logaddexp_pair`: the value, weights and entropy from one exp."""
 
-    @settings(derandomize=True, database=None, deadline=None, max_examples=400)
+    @settings(max_examples=400)
     @given(lse_pairs())
     def test_properties(self, pair):
         a, b = pair
@@ -278,11 +279,11 @@ class TestSampleSurface:
 
     # 2,924 of the counts 1-3,000 have a grid larger than n and take the
     # evenly spaced `keep` gather; the rest fill the grid exactly.
-    @settings(derandomize=True, database=None, deadline=None, max_examples=200)
+    @settings(max_examples=200)
     @given(st.floats(sk.EPS_MIN, 2.0), st.floats(sk.EPS_MIN, 2.0), st.integers(1, 3000),
            st.integers(0, 2**32 - 1), st.integers(0, 2**32 - 1))
     def test_matches_stacked_formulation(self, eps1, eps2, n, seed, pose_seed):
-        """Bit for bit the (n, 3) formulation: stack, gather, `local_to_world`."""
+        """Bit for bit the (n, 3) formulation: stack, gather, pose column by column."""
         rng = np.random.default_rng(pose_seed)
         sq = sk.Superquadric(eps1, eps2, rng.uniform(0.01, 0.3, 3), random_quaternion(rng),
                              rng.uniform(-1.0, 1.0, 3))
@@ -307,7 +308,7 @@ def surface_cells_cases(draw):
 class TestSurfaceCells:
     """`core._surface_cells`: the points of chosen grid cells, as the full grid has them."""
 
-    @settings(derandomize=True, database=None, deadline=None, max_examples=200)
+    @settings(max_examples=200)
     @given(surface_cells_cases())
     def test_equals_the_full_grid_gathered(self, case):
         sq, n, seed, cells = case
@@ -423,13 +424,35 @@ class TestFpsReference:
                                    fps_full_pass(pts, 512, 0))
 
     def test_default_grid_templates(self):
+        # The shipped FPS table must not hinge on the last bits of the dense
+        # samples, which differ between numpy's CPU dispatch routes. The
+        # unit-scale points lie in [-1, 1]^3. A computed squared distance
+        # (dx*dx + dy*dy) + dz*dz takes four roundings on each nonnegative
+        # term, so it is within gamma4 = 4u/(1 - 4u) of exact (u = 2^-53).
+        # If every coordinate moves by at most eta = 2u (one ulp of 1), a
+        # distance moves by at most 2 sqrt(3) eta and an exact squared
+        # distance d by at most 4 sqrt(3) eta sqrt(d) + 12 eta^2; so does a
+        # minimum over centers. Between two such point sets, a computed value
+        # d moves by at most r(d) d, r(d) = 2 gamma4 + 4 sqrt(3) eta / sqrt(d)
+        # + 12 eta^2 / d (products of these terms, below 1e-27, dropped).
+        # A pick of best b over runner-up s cannot flip while b - s exceeds
+        # r(b) b + r(s) s; r(d) d grows with d, so (b - s) / b > 2 r(b)
+        # suffices.
+        u = 2.0 ** -53
+        gamma4 = 4.0 * u / (1.0 - 4.0 * u)
+        eta = 2.0 * u
         for category in sk.default_grid().categories():
             unit = sk.Superquadric(max(category.eps1, sk.EPS_MIN),
                                    max(category.eps2, sk.EPS_MIN), np.ones(3))
             dense = sk.sample_surface(unit, 8192, seed=0)
-            ref = fps_full_pass(dense, 512, 0)
+            assert np.abs(dense).max() <= 1.0
+            margins = []
+            ref = fps_full_pass(dense, 512, 0, margins)
             npt.assert_array_equal(sk.farthest_point_sample(dense, 512, start=0), ref)
             npt.assert_array_equal(sk.template_points(category), dense[ref])
+            best, runner_up = np.array(margins).T
+            r = 2.0 * gamma4 + 4.0 * math.sqrt(3.0) * eta / np.sqrt(best) + 12.0 * eta**2 / best
+            assert np.all((best - runner_up) / best > 2.0 * r), category.id
 
     def test_every_point_of_a_cloud(self):
         pts = np.random.default_rng(33).normal(size=(2000, 3))
@@ -463,7 +486,7 @@ def fps_cases(draw):
 class TestFpsProperties:
     """FPS equals the scalar oracle on tie-heavy and ill-scaled clouds, and is progressive."""
 
-    @settings(derandomize=True, database=None, deadline=None, max_examples=300)
+    @settings(max_examples=300)
     @given(fps_cases())
     def test_matches_oracle_with_distinct_indices(self, case):
         pts, k, start = case
@@ -474,7 +497,7 @@ class TestFpsProperties:
             with mock.patch.object(core, "_FPS_BLOCK", block):
                 assert list(sk.farthest_point_sample(pts, k, start)) == expected
 
-    @settings(derandomize=True, database=None, deadline=None, max_examples=300)
+    @settings(max_examples=300)
     @given(fps_cases(), st.data())
     def test_prefix_of_a_longer_run(self, case, data):
         """The first n picks of a k-pick run are the n-pick run."""

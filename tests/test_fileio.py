@@ -188,7 +188,7 @@ class TestWritePlyOracle:
 _float32s = st.floats(width=32, allow_nan=False, allow_infinity=False)
 _clouds = st.lists(st.tuples(_float32s, _float32s, _float32s), min_size=1, max_size=40)
 # Deterministic: the same examples on every run, and no example database.
-ply_settings = settings(derandomize=True, database=None, deadline=None, max_examples=300)
+ply_settings = settings(max_examples=300)
 
 
 class TestPlyProperties:

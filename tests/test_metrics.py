@@ -200,7 +200,7 @@ _translations = st.tuples(st.floats(-0.1, 0.1), st.floats(-0.1, 0.1), st.floats(
 class TestSymmetryProperties:
     """MSSD and MSPD absorb every element of a shape's symmetry group."""
 
-    @settings(derandomize=True, database=None, deadline=None, max_examples=60)
+    @settings(max_examples=60)
     @given(_canonical_shapes, _quaternions, _translations)
     def test_every_group_element_is_absorbed(self, sq, q, t):
         group = sk.symmetry_group(sq)
@@ -262,7 +262,7 @@ def _past_one_block():
 class TestOracleProperties:
     """MSSD and MSPD equal the scalar double-loop oracles, bit for bit."""
 
-    @settings(derandomize=True, database=None, deadline=None, max_examples=40)
+    @settings(max_examples=40)
     @given(_metric_cases())
     @example(_past_one_block())
     def test_metrics_equal_oracles(self, case):

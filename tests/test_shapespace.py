@@ -83,7 +83,7 @@ class TestCategorize:
         with pytest.raises(ValueError):
             sk.categorize(2.1, 0.5, sk.default_grid())
 
-    @settings(derandomize=True, database=None, deadline=None, max_examples=500)
+    @settings(max_examples=500)
     @given(st.data())
     def test_matches_numpy_formulation(self, data):
         """The nearest node as an argmin over the broadcast (e1 - eps1)**2 + (e2 - eps2)**2."""
