@@ -290,39 +290,29 @@ def sample_surface(sq, n, seed=0):
     n = int(n)
     if n < 1:
         raise ValueError("sample count must be >= 1")
-    n_eta, n_om = _surface_grid(n)
-    total = n_eta * n_om
-    return _surface_cells(sq, n, seed, (np.arange(n) * total) // n if total > n else None)
+    return _surface_points(sq, n, seed, np.arange(n))
 
 
-def _surface_grid(n):
-    """(n_eta, n_om): the rows and columns of `sample_surface`'s angle grid for n points."""
-    n_om = int(np.ceil(np.sqrt(2.0 * n)))
-    return int(np.ceil(n / n_om)), n_om
+def _surface_points(sq, n, seed, picks):
+    """Rows `picks` of `sample_surface(sq, n, seed)`, computing only those points.
 
-
-def _surface_cells(sq, n, seed, cells=None):
-    """The points `sample_surface(sq, n, seed)` builds at the given grid cells.
-
-    `cells` holds flat row-major indices into the n_eta x n_om grid, in any
-    order and with repeats; None means every cell in order. The whole
-    jitter stream is drawn either way, and cos, sin and the powers run only
-    at the cells asked for, so each point equals the full grid's bit for
-    bit. Returns a (len(cells), 3) array of world points.
+    The angle grid has n_om = ceil(sqrt(2n)) columns and n_eta = ceil(n / n_om)
+    rows, total >= n cells. Sample k keeps flat row-major cell
+    k * total // n: every cell when total == n, else n evenly spaced ones.
+    `picks` holds sample indices in [0, n), in any order and with repeats.
+    The whole jitter stream is drawn, and cos, sin and the powers run only
+    at the picked cells, so each point has the full sample's bits. Returns a
+    (len(picks), 3) array of world points.
     """
-    n_eta, n_om = _surface_grid(n)
-    jitter = np.random.default_rng(seed).uniform(0.05, 0.95, size=(2, n_eta, n_om))
-    if cells is None:
-        i = np.arange(n_eta)[:, None]
-        j = np.arange(n_om)[None, :]
-        jitter_eta, jitter_om = jitter
-    else:
-        cells = np.asarray(cells, dtype=np.intp)
-        i = cells // n_om
-        j = cells - i * n_om
-        jitter_eta, jitter_om = (part.ravel()[cells] for part in jitter)
-    eta = -0.5 * np.pi + (i + jitter_eta) * (np.pi / n_eta)
-    omega = -np.pi + (j + jitter_om) * (2.0 * np.pi / n_om)
+    n_om = int(np.ceil(np.sqrt(2.0 * n)))
+    n_eta = int(np.ceil(n / n_om))
+    total = n_eta * n_om
+    cells = np.asarray(picks, dtype=np.intp) * total // n
+    i = cells // n_om
+    j = cells - i * n_om
+    jitter_eta, jitter_om = np.random.default_rng(seed).uniform(0.05, 0.95, size=(2, total))
+    eta = -0.5 * np.pi + (i + jitter_eta[cells]) * (np.pi / n_eta)
+    omega = -np.pi + (j + jitter_om[cells]) * (2.0 * np.pi / n_om)
 
     ce = _signed_pow(np.cos(eta), sq.eps1)
     se = _signed_pow(np.sin(eta), sq.eps1)
@@ -330,7 +320,7 @@ def _surface_cells(sq, n, seed, cells=None):
     so = _signed_pow(np.sin(omega), sq.eps2)
     ax, ay, az = sq.scale
     # Coordinate rows until the end: the pose then runs on contiguous arrays.
-    local = [(ax * ce * co).ravel(), (ay * ce * so).ravel(), (az * se).ravel()]
+    local = (ax * ce * co, ay * ce * so, az * se)
     return np.stack(_posed_rows(sq.rotation_matrix, sq.translation, *local), axis=1)
 
 

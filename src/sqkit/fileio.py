@@ -394,7 +394,7 @@ def parse_params(data):
     if not isinstance(payload, dict):
         raise ParseError("parameter record must be a JSON object")
     version = payload.get("schema_version")
-    if version != PARAMS_SCHEMA_VERSION:
+    if type(version) is not int or version != PARAMS_SCHEMA_VERSION:
         raise ParseError(f"unsupported schema_version {version!r}")
 
     def vector(name, size, required=True):
@@ -431,8 +431,8 @@ def parse_params(data):
         rotation = quat_normalize(rotation)
     shear = vector("shear", 3, required=False)
     category_id = payload.get("category_id")
-    if category_id is not None and type(category_id) is not int:
-        raise ParseError("category_id must be an integer")
+    if category_id is not None and (type(category_id) is not int or category_id < 0):
+        raise ParseError("category_id must be a nonnegative integer")
     record = ParamsRecord(
         eps=eps, scale=scale, rotation=tuple(float(v) for v in rotation),
         translation=translation, shear=shear, category_id=category_id,

@@ -18,8 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (EPS_MIN, Superquadric, _surface_cells, _surface_grid, farthest_point_sample,
-                   sample_surface)
+from .core import EPS_MIN, Superquadric, _surface_points, farthest_point_sample, sample_surface
 from .rotations import is_rotation_matrix, rotation_about_z
 
 # Size of the dense surface sample a template is farthest-point-sampled from;
@@ -169,11 +168,7 @@ def template_points(category, n=512, dense_n=DENSE_SAMPLE_SIZE, seed=0):
     if seed == 0 and dense_n == DENSE_SAMPLE_SIZE and n <= _STORED_PICKS:
         order = _stored_fps_orders().get(exponents)
         if order is not None:
-            # Sample index k sits at grid cell k * total // dense_n, as
-            # sample_surface keeps it (k itself when the grid is full).
-            total = math.prod(_surface_grid(dense_n))
-            cells = order[:n].astype(np.intp) * total // dense_n
-            return _surface_cells(unit, dense_n, seed, cells)
+            return _surface_points(unit, dense_n, seed, order[:n])
     dense = sample_surface(unit, dense_n, seed)
     return dense[farthest_point_sample(dense, n, start=0)]
 

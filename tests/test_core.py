@@ -291,33 +291,33 @@ class TestSampleSurface:
 
 
 @st.composite
-def surface_cells_cases(draw):
-    """A posed shape, a size whose grid holds more cells than it keeps, and cell indices."""
-    n = draw(st.integers(1, 3000).filter(lambda n: np.prod(core._surface_grid(n)) > n))
-    total = int(np.prod(core._surface_grid(n)))
+def surface_points_cases(draw):
+    """A posed shape, a sample size, a seed and sample indices.
+
+    8 and 20,000 fill their grids (2 x 4 and 100 x 200 cells); 2,924 of the
+    counts 1-3,000 have more cells than they keep.
+    """
+    n = draw(st.one_of(st.sampled_from([8, 20000]), st.integers(1, 3000)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     sq = sk.Superquadric(draw(st.floats(sk.EPS_MIN, 2.0)), draw(st.floats(sk.EPS_MIN, 2.0)),
                          rng.uniform(0.01, 0.3, 3), random_quaternion(rng),
                          rng.uniform(-1.0, 1.0, 3))
     # unsorted, with repeats drawn on purpose
-    cells = draw(st.lists(st.integers(0, total - 1), min_size=1, max_size=64))
-    cells += draw(st.lists(st.sampled_from(cells), max_size=8))
-    return sq, n, draw(st.integers(0, 2**32 - 1)), cells
+    picks = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=64))
+    picks += draw(st.lists(st.sampled_from(picks), max_size=8))
+    return sq, n, draw(st.integers(0, 2**32 - 1)), picks
 
 
-class TestSurfaceCells:
-    """`core._surface_cells`: the points of chosen grid cells, as the full grid has them."""
+class TestSurfacePoints:
+    """`core._surface_points`: chosen rows of `sample_surface`, computed alone."""
 
     @settings(max_examples=200)
-    @given(surface_cells_cases())
-    def test_equals_the_full_grid_gathered(self, case):
-        sq, n, seed, cells = case
-        grid = core._surface_cells(sq, n, seed)
-        assert grid.shape == (int(np.prod(core._surface_grid(n))), 3)
-        npt.assert_array_equal(core._surface_cells(sq, n, seed, cells), grid[cells])
-        # sample_surface keeps every (total/n)-th cell through the subset path
-        total = grid.shape[0]
-        npt.assert_array_equal(grid[(np.arange(n) * total) // n], sk.sample_surface(sq, n, seed))
+    @given(surface_points_cases())
+    def test_equals_sample_surface_gathered(self, case):
+        sq, n, seed, picks = case
+        got = core._surface_points(sq, n, seed, picks)
+        assert got.shape == (len(picks), 3)
+        npt.assert_array_equal(got, sk.sample_surface(sq, n, seed)[picks])
 
 
 # ---------------------------------------------------------------------------

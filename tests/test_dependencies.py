@@ -69,7 +69,7 @@ sys.setprofile(None)
 import sqkit
 print(json.dumps({{
     "stored_orders": sqkit.shapespace._stored_fps_orders.cache_info().currsize,
-    "sampled": sorted(calls & {{"sample_surface", "_surface_cells", "farthest_point_sample"}}),
+    "sampled": sorted(calls & {{"sample_surface", "_surface_points", "farthest_point_sample"}}),
 }}))
 """
 

@@ -363,6 +363,19 @@ class TestParamsRecord:
         with pytest.raises(sk.ParseError):
             sk.parse_params(json.dumps({"schema_version": 99}))
 
+    @pytest.mark.parametrize("version", [True, 1.0])
+    def test_schema_version_must_be_the_integer(self, version):
+        payload = {"schema_version": version, "eps": [0.5, 0.5], "scale": [1, 1, 1],
+                   "rotation": [1, 0, 0, 0], "translation": [0, 0, 0]}
+        with pytest.raises(sk.ParseError, match="schema_version"):
+            sk.parse_params(json.dumps(payload))
+
+    def test_negative_category_id_rejected(self):
+        payload = {"schema_version": 1, "eps": [0.5, 0.5], "scale": [1, 1, 1],
+                   "rotation": [1, 0, 0, 0], "translation": [0, 0, 0], "category_id": -5}
+        with pytest.raises(sk.ParseError, match="category_id"):
+            sk.parse_params(json.dumps(payload))
+
     def test_invalid_parameters_rejected(self):
         payload = {"schema_version": 1, "eps": [0.5, 0.5], "scale": [1, -1, 1],
                    "rotation": [1, 0, 0, 0], "translation": [0, 0, 0]}

@@ -1,6 +1,10 @@
 """Shape grid, categorization, templates, and symmetry groups."""
 
 import io
+import json
+import os
+import subprocess
+import sys
 from unittest import mock
 
 import numpy as np
@@ -13,6 +17,29 @@ import sqkit as sk
 from conftest import fps_full_pass
 from sqkit import shapespace
 from sqkit.rotations import rotation_about_z
+
+try:
+    from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+except ImportError:  # numpy < 2
+    from numpy.core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+
+# numpy's AVX-512 targets that it dispatches here; with them off, it runs its
+# AVX2 kernels.
+_AVX512_ON = [t for t in ("X86_V4", "AVX512_ICL", "AVX512_SPR")
+              if t in __cpu_dispatch__ and __cpu_features__.get(t)]
+
+# Rebuilds the FPS order table into argv[1]; prints which of them are still on.
+_REBUILD_TABLE = f"""
+import json, sys
+import numpy as np
+try:
+    from numpy._core._multiarray_umath import __cpu_features__
+except ImportError:
+    from numpy.core._multiarray_umath import __cpu_features__
+from sqkit import shapespace
+np.save(sys.argv[1], shapespace._fps_order_table())
+print(json.dumps([t for t in {_AVX512_ON!r} if __cpu_features__.get(t)]))
+"""
 
 
 class TestShapeGrid:
@@ -146,6 +173,17 @@ class TestStoredFpsOrder:
         buf = io.BytesIO()
         np.save(buf, shapespace._fps_order_table())
         assert buf.getvalue() == shapespace._FPS_ORDER_PATH.read_bytes()
+
+    @pytest.mark.skipif(not _AVX512_ON, reason="numpy dispatches no AVX-512 target here")
+    def test_table_is_the_generator_output_on_the_avx2_route(self, tmp_path):
+        """The dense samples' powers differ in the last bits between numpy's
+        AVX-512 and AVX2 kernels; the rebuilt table must not."""
+        env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=" ".join(_AVX512_ON))
+        path = tmp_path / "table.npy"
+        proc = subprocess.run([sys.executable, "-c", _REBUILD_TABLE, str(path)],
+                              env=env, capture_output=True, text=True, check=True)
+        assert json.loads(proc.stdout) == []
+        assert path.read_bytes() == shapespace._FPS_ORDER_PATH.read_bytes()
 
     @pytest.mark.parametrize("category, n, dense_n, seed, stored", [
         (NODE, 513, 8192, 0, False),
