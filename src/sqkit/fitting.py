@@ -12,9 +12,18 @@ together, and an accepted trial's evaluation carries into the next step.
 Exponents and scales are projected onto their bounds at step time, and
 several deterministic starts guard against local minima; the lowest-residual
 start wins, ties broken by start index. Each start records why it stopped.
+
+Two rules stop a start that cannot win. Start j >= 3 runs from the same axis
+order as start j - 3; once an accepted step brings it within a small
+distance of that start's end (exponents, scales, translation and rotation),
+it has entered a basin already searched and stops as "duplicate". A start
+that has taken at least ten accepted steps and whose objective is still
+above twice the lowest final objective of the starts before it stops as
+"dominated": its basin is far worse than one already found.
 """
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -42,6 +51,16 @@ _DEGENERATE_TOL = 0.01
 _RMS_FLOOR_REL = 1e-7
 # Projection bounds for the axis scales, in meters.
 _SCALE_BOUNDS = (1e-4, 10.0)
+# The early stops (see StartDiagnostic). A duplicate is within _DUPLICATE_EPS
+# in each exponent, _DUPLICATE_REL of the twin's largest scale in each scale
+# and translation coordinate and _DUPLICATE_DEG degrees of rotation.
+_DUPLICATE_EPS = 0.05
+_DUPLICATE_REL = 0.02
+_DUPLICATE_DEG = 2.0
+# |q . q'| above this is a rotation angle below _DUPLICATE_DEG.
+_DUPLICATE_COS = math.cos(math.radians(_DUPLICATE_DEG) / 2.0)
+_DOMINATED_STEPS = 10
+_DOMINATED_FACTOR = 2.0
 
 
 @dataclass(frozen=True)
@@ -64,8 +83,16 @@ class FitConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if int(self.max_iterations) < 1 or int(self.multistart) < 1:
+        # Integers only (Python or numpy, not bool), kept as Python ints.
+        for name in ("max_iterations", "multistart", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
+        if self.max_iterations < 1 or self.multistart < 1:
             raise ValueError("iteration and start counts must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if not self.convergence_tol > 0:
             raise ValueError("convergence_tol must be positive")
         if not 0 <= self.noise_scale < np.inf:
@@ -76,19 +103,28 @@ class FitConfig:
 class StartDiagnostic:
     """Per-start record: where it began, where it ended, and why it stopped.
 
-    evaluations counts the start's kernel calls (residuals and Jacobian
-    together): one at the start, then one per trial step, accepted or not.
+    params is the start's final superquadric. evaluations counts the start's
+    kernel calls (residuals and Jacobian together): one at the start, then
+    one per trial step, accepted or not.
 
     stop_reason is one of:
         "rel_drop": an accepted step cut the objective by at most
             convergence_tol, relative;
         "rms_floor": the RMS residual reached _RMS_FLOOR_REL * max(scale);
+        "duplicate": (starts 3 and later) an accepted step brought the
+            parameters within the _DUPLICATE_* distances of the final
+            parameters of the start three before, which has the same axis
+            order (its "twin"): the basin was already searched;
+        "dominated": after at least _DOMINATED_STEPS accepted steps, the
+            objective was above _DOMINATED_FACTOR times the lowest final
+            objective of the starts before;
         "no_descent": no damping gave a step that lowers the objective;
         "budget": max_iterations accepted steps were taken without any of
             the above.
     """
 
     initial: Superquadric
+    params: Superquadric
     rms_residual: float
     iterations: int
     evaluations: int
@@ -97,7 +133,7 @@ class StartDiagnostic:
 
     @property
     def converged(self):
-        """False only for "budget"."""
+        """False only for "budget"; a "duplicate" or "dominated" start counts as converged."""
         return self.stop_reason != "budget"
 
 
@@ -192,9 +228,24 @@ def _pack(sq):
     return np.concatenate(([sq.eps1, sq.eps2], sq.scale, np.zeros(3), sq.translation))
 
 
-def _optimize_start(pts, start, config):
+def _same_basin(x, q, twin_x, twin_q):
+    """Whether x with pose q is within the _DUPLICATE_* distances of the twin's
+    (q and -q are the same rotation, hence |q . q'|)."""
+    tol = _DUPLICATE_REL * max(twin_x[2:5])
+    return (abs(x[0] - twin_x[0]) < _DUPLICATE_EPS and abs(x[1] - twin_x[1]) < _DUPLICATE_EPS
+            and all(abs(a - b) < tol for a, b in zip(x[2:5] + x[8:11], twin_x[2:5] + twin_x[8:11]))
+            and abs(sum(a * b for a, b in zip(q, twin_q))) > _DUPLICATE_COS)
+
+
+def _optimize_start(pts, start, config, twin=None, bound=math.inf):
+    """One LM start from `start`; stops as "duplicate" near the superquadric
+    `twin` and as "dominated" on an objective above `bound` (see
+    StartDiagnostic). Returns the final parameters, RMS, accepted steps,
+    kernel calls, stop reason and objective history."""
     # The parameters and the quaternion are Python floats between the
     # kernel calls; the per-trial bookkeeping is on 11 and 4 numbers.
+    if twin is not None:
+        twin_x, twin_q = _pack(twin).tolist(), tuple(twin.rotation.tolist())
     q = tuple(start.rotation.tolist())
     x = _project(_pack(start).tolist())
     res, jac = _residuals(x, q, pts)
@@ -204,7 +255,7 @@ def _optimize_start(pts, start, config):
     lam = 1e-3
     stop_reason = "budget"
     iterations = 0
-    for _ in range(int(config.max_iterations)):
+    for _ in range(config.max_iterations):
         jac_w = jac
         if config.noise_scale > 0:
             jac_w = jac * _huber_weights(res, config.noise_scale)[:, None]
@@ -251,6 +302,12 @@ def _optimize_start(pts, start, config):
             break
         if np.sqrt(np.mean(res * res)) <= _RMS_FLOOR_REL * max(x[2:5]):
             stop_reason = "rms_floor"
+            break
+        if twin is not None and _same_basin(x, q, twin_x, twin_q):
+            stop_reason = "duplicate"
+            break
+        if iterations >= _DOMINATED_STEPS and obj > bound:
+            stop_reason = "dominated"
             break
     params = Superquadric(eps1=x[0], eps2=x[1], scale=x[2:5], rotation=q, translation=x[8:11])
     rms = float(np.sqrt(np.mean(res * res)))
@@ -350,23 +407,28 @@ def fit(points, config=None):
     """Fit a superquadric to a world-frame cloud.
 
     Runs `config.multistart` deterministic starts and returns the one with
-    the lowest RMS radial residual (ties broken by start index). `converged`
-    reflects the winning start; per-start details land in start_diagnostics.
+    the lowest RMS radial residual (ties broken by start index); starts that
+    cannot win stop early ("duplicate", "dominated"). `converged` reflects
+    the winning start; per-start details land in start_diagnostics.
     """
     if config is None:
         config = FitConfig()
     pts = as_points(points)
-    starts = initial_guesses(pts, int(config.multistart), seed=config.seed)
+    starts = initial_guesses(pts, config.multistart, seed=config.seed)
     # One copy in Fortran order makes each coordinate column the kernel
     # reads contiguous; the guesses' moments above keep the input's sums.
     cols = np.asfortranarray(pts)
     diagnostics = []
     best = None
+    best_obj = math.inf
     for idx, start in enumerate(starts):
-        params, rms, iters, evals, stop_reason, history = _optimize_start(cols, start, config)
+        twin = diagnostics[idx - 3].params if idx >= 3 else None
+        params, rms, iters, evals, stop_reason, history = _optimize_start(
+            cols, start, config, twin, _DOMINATED_FACTOR * best_obj)
+        best_obj = min(best_obj, history[-1])
         diag = StartDiagnostic(
-            initial=start, rms_residual=rms, iterations=iters, evaluations=evals,
-            stop_reason=stop_reason, objective_history=history,
+            initial=start, params=params, rms_residual=rms, iterations=iters,
+            evaluations=evals, stop_reason=stop_reason, objective_history=history,
         )
         diagnostics.append(diag)
         if best is None or rms < best[0]:

@@ -193,6 +193,19 @@ class TestEvaluations:
             # the start's own call, then at least one trial per accepted step
             assert d.evaluations >= 1 + d.iterations
 
+    def test_sum_equals_kernel_calls_with_early_stops(self, monkeypatch):
+        calls = []
+        kernel = fitting._residuals
+
+        def counted(*args):
+            calls.append(None)
+            return kernel(*args)
+
+        monkeypatch.setattr(fitting, "_residuals", counted)
+        out = sk.fit(_class_cloud(1, 1))
+        assert {d.stop_reason for d in out.start_diagnostics} >= {"duplicate", "dominated"}
+        assert sum(d.evaluations for d in out.start_diagnostics) == len(calls)
+
 
 class TestStopReason:
     def _noisy_cloud(self):
@@ -219,15 +232,21 @@ class TestStopReason:
         assert self._reasons(self._noisy_cloud(), max_iterations=2) == {"budget"}
 
 
-def _class_cloud(kind, i):
-    """A 2,000-point, 1 mm noise cloud of a general shape, a square
-    cross-section (ax == ay) or a body of revolution (also eps2 == 1)."""
+def _class_shape(kind, i):
+    """A general shape (kind 0), a square cross-section (ax == ay, kind 1)
+    or a body of revolution (also eps2 == 1, kind 2)."""
     sq = random_superquadric(np.random.default_rng([61, kind, i]))
     if kind != 0:
         radial = sq.scale[0]
         sq = sk.Superquadric(sq.eps1, 1.0 if kind == 2 else sq.eps2,
                              [radial, radial, sq.scale[2]], sq.rotation, sq.translation)
-    return sk.gen_synthetic(sq, sk.GenConfig(n_points=2000, noise_sigma=1e-3, seed=i))
+    return sq
+
+
+def _class_cloud(kind, i):
+    """A 2,000-point, 1 mm noise cloud of `_class_shape(kind, i)`."""
+    return sk.gen_synthetic(_class_shape(kind, i),
+                            sk.GenConfig(n_points=2000, noise_sigma=1e-3, seed=i))
 
 
 def _param_vector(sq):
@@ -260,6 +279,91 @@ class TestLoopReference:
             assert abs(rms - ref[1]) <= self.BOUND
 
 
+class TestWinnerStudy:
+    """`fit`, whose starts stop as "duplicate" and "dominated", against the
+    full multistart: every start run by `_optimize_start` with no twin and
+    no objective bound, the lowest RMS winning (ties by start index)."""
+
+    # Three clouds per class: general shapes, square cross-sections and
+    # bodies of revolution, 2,000 points, 1 mm noise.
+    CLOUDS = tuple(itertools.product(range(3), range(3)))
+
+    @staticmethod
+    def _recovered(params, truth):
+        est = sk.canonicalize(params).canonical
+        return any(np.all(np.abs(c.scale / truth.scale - 1.0) <= 0.05)
+                   for c in relabel_candidates(est))
+
+    def test_winner_matches_full_multistart(self):
+        config = sk.FitConfig()
+        reasons = set()
+        for kind, i in self.CLOUDS:
+            cloud, truth = _class_cloud(kind, i), _class_shape(kind, i)
+            cols = np.asfortranarray(cloud)
+            full = [fitting._optimize_start(cols, start, config)
+                    for start in sk.initial_guesses(cloud, config.multistart, seed=config.seed)]
+            params, rms = min(full, key=lambda r: r[1])[:2]
+            out = sk.fit(cloud, config)
+            assert out.rms_residual <= (1 + 1e-5) * rms, (kind, i)
+            assert self._recovered(out.params, truth) == self._recovered(params, truth), (kind, i)
+            reasons.update(d.stop_reason for d in out.start_diagnostics)
+        assert {"duplicate", "dominated"} <= reasons
+
+    def test_diagnostic_params_are_the_start_end(self):
+        cloud = _class_cloud(1, 1)
+        out = sk.fit(cloud)
+        assert {d.stop_reason for d in out.start_diagnostics} >= {"duplicate", "dominated"}
+        for d in out.start_diagnostics:
+            assert d.converged
+            rd = sk.radial_distance(d.params, cloud)
+            assert d.rms_residual == np.sqrt(np.mean(rd ** 2))
+        assert any(d.params is out.params for d in out.start_diagnostics)
+
+
+class TestEarlyStops:
+    """The two rules that stop a start which cannot win, one at a time."""
+
+    def _start(self, kind=2, i=2):
+        cloud = _class_cloud(kind, i)
+        return np.asfortranarray(cloud), sk.initial_guesses(cloud, 1)[0], sk.FitConfig()
+
+    def test_duplicate_stops_before_the_twin_end(self):
+        cols, start, config = self._start()
+        end, _, iters = fitting._optimize_start(cols, start, config)[:3]
+        # the same end with the sign of its quaternion flipped: the same rotation
+        twin = sk.Superquadric(end.eps1, end.eps2, end.scale, -end.rotation, end.translation)
+        out = fitting._optimize_start(cols, start, config, twin)
+        assert out[4] == "duplicate" and 1 <= out[2] < iters
+
+    def test_same_basin_thresholds(self):
+        x = [0.5, 0.5, 0.05, 0.04, 0.1, 0.0, 0.0, 0.0, 0.1, -0.2, 0.8]
+        q = (1.0, 0.0, 0.0, 0.0)
+
+        def turned(deg):
+            half = np.radians(deg) / 2
+            return (np.cos(half), 0.0, 0.0, np.sin(half))
+
+        def moved(k, d):
+            y = list(x)
+            y[k] += d
+            return y
+
+        tol = fitting._DUPLICATE_REL * 0.1
+        assert fitting._same_basin(x, q, x, tuple(-v for v in q))
+        assert fitting._same_basin(x, turned(1.9), x, q)
+        assert not fitting._same_basin(x, turned(2.1), x, q)
+        for k, d in ((0, 0.049), (1, -0.049), (2, 0.99 * tol), (10, -0.99 * tol)):
+            assert fitting._same_basin(moved(k, d), q, x, q), (k, d)
+        for k, d in ((0, 0.051), (1, -0.051), (4, 1.01 * tol), (9, -1.01 * tol)):
+            assert not fitting._same_basin(moved(k, d), q, x, q), (k, d)
+
+    def test_dominated_waits_for_the_minimum_steps(self):
+        cols, start, config = self._start()
+        assert fitting._optimize_start(cols, start, config)[2] > fitting._DOMINATED_STEPS
+        out = fitting._optimize_start(cols, start, config, bound=0.0)
+        assert out[4] == "dominated" and out[2] == fitting._DOMINATED_STEPS
+
+
 class TestNonFiniteStep:
     """A step that comes back NaN gives the fold a NaN quaternion norm, and
     the fit raises ValueError, as quat_normalize does, instead of quietly
@@ -286,6 +390,20 @@ class TestFitConfig:
         for scale in (np.nan, np.inf):
             with pytest.raises(ValueError):
                 sk.FitConfig(noise_scale=scale)
+
+    @pytest.mark.parametrize("field, value", [
+        ("max_iterations", 2.5), ("max_iterations", 3.0), ("max_iterations", True),
+        ("multistart", True), ("multistart", 1.5), ("multistart", "6"),
+        ("seed", -1), ("seed", 1.5), ("seed", False), ("seed", None),
+    ])
+    def test_rejects_non_integer_counts_and_negative_seed(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            sk.FitConfig(**{field: value})
+
+    def test_numpy_integers_become_python_ints(self):
+        cfg = sk.FitConfig(max_iterations=np.int64(7), multistart=np.uint8(2), seed=np.int32(3))
+        assert (cfg.max_iterations, cfg.multistart, cfg.seed) == (7, 2, 3)
+        assert all(type(v) is int for v in (cfg.max_iterations, cfg.multistart, cfg.seed))
 
 
 class TestInitialGuesses:
