@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import EPS_MIN, Superquadric
+from .core import EPS_MIN, Superquadric, _frozen
 from .rotations import (
     is_rotation_matrix,
     quat_from_axis_angle,
@@ -130,9 +130,7 @@ def decompose_scale_shear(M):
     is the diagonal of P and shear the off-diagonal entries
     (p_xy, p_xz, p_yz). Requires det(M) > 0.
     """
-    M = np.asarray(M, dtype=float)
-    if M.shape != (3, 3) or not np.all(np.isfinite(M)):
-        raise ValueError("M must be a finite 3x3 matrix")
+    M = _frozen(M, (3, 3), "M must be a finite 3x3 matrix")
     if np.linalg.det(M) <= 0.0:
         raise ValueError("M must have positive determinant")
     w, s, vh = np.linalg.svd(M)
@@ -149,21 +147,17 @@ def compose_affine(rotation, scale, shear, translation):
     Inverse of decompose_scale_shear on its range: M = R @ P with P the
     symmetric matrix carrying `scale` on the diagonal and `shear` off it.
     """
-    R = np.asarray(rotation, dtype=float)
-    if R.shape != (3, 3) or not is_rotation_matrix(R):
-        raise ValueError("rotation must be a proper orthonormal 3x3 matrix")
-    scale = np.asarray(scale, dtype=float)
-    shear = np.asarray(shear, dtype=float)
-    t = np.asarray(translation, dtype=float)
-    if scale.shape != (3,) or np.any(scale <= 0) or not np.all(np.isfinite(scale)):
-        raise ValueError("scale must be three positive finite values")
-    if shear.shape != (3,) or not np.all(np.isfinite(shear)):
-        raise ValueError("shear must be a finite 3-vector (p_xy, p_xz, p_yz)")
-    if t.shape != (3,) or not np.all(np.isfinite(t)):
-        raise ValueError("translation must be a finite 3-vector")
+    message = "rotation must be a proper orthonormal 3x3 matrix"
+    R = _frozen(rotation, (3, 3), message)
+    if not is_rotation_matrix(R):
+        raise ValueError(message)
+    scale = _frozen(scale, (3,), "scale must be three positive finite values",
+                    lambda v: 0.0 < v < np.inf)
+    shear = _frozen(shear, (3,), "shear must be a finite 3-vector (p_xy, p_xz, p_yz)")
+    t = _frozen(translation, (3,), "translation must be a finite 3-vector")
     P = np.array([
         [scale[0], shear[0], shear[1]],
         [shear[0], scale[1], shear[2]],
         [shear[1], shear[2], scale[2]],
     ])
-    return R @ P, t
+    return R @ P, np.array(t)

@@ -3,17 +3,21 @@
 Exit codes: 0 success; 1 usage error (a bad flag value, such as text, nan, inf
 or a negative --seed; grid without --list; sample --fps above --n; a gen
 whose --visible keeps no point of --n); 2 parse/format error (including an
-input that cannot be read, an output that cannot be written, and an eval --gt
-record whose eps2 > 1 is not canonical, for which no report is written);
-3 numerical failure (non-convergence, degenerate input, a cloud beyond the
-float32 range of PLY coordinates, eval --intrinsics with a template point at
-or behind the camera). Diagnostics go to stderr.
+input that cannot be read, an output that cannot be written, an eval --gt
+record whose eps2 > 1 is not canonical, and an eval record whose scale and
+shear give no valid pose; eval writes no report for either); 3 numerical
+failure (non-convergence, degenerate input, a cloud beyond the float32 range
+of PLY coordinates, eval --intrinsics with a template point at or behind the
+camera, an eval whose pose error overflows to a non-finite value). Diagnostics
+go to stderr.
 """
 
 import argparse
 import json
 import math
 import sys
+
+import numpy as np
 
 from .canonical import canonicalize, compose_affine, decompose_scale_shear
 from .core import farthest_point_sample, sample_surface
@@ -95,11 +99,15 @@ _thresholds = _flag(lambda text: [float(tok) for tok in text.split(",") if tok.s
                     lambda v: v and all(map(math.isfinite, v)) and v == sorted(v))
 
 
-def _pose_from_record(record):
+def _pose_from_record(record, flag, path):
+    """The record's pose; a scale and shear that give none make the file a parse error."""
     sq = record.to_superquadric()
-    return PoseHypothesis(*compose_affine(sq.rotation_matrix, record.scale,
-                                          record.shear or (0.0, 0.0, 0.0),
-                                          record.translation))
+    try:
+        return PoseHypothesis(*compose_affine(sq.rotation_matrix, record.scale,
+                                              record.shear or (0.0, 0.0, 0.0),
+                                              record.translation))
+    except ValueError as exc:
+        raise ParseError(f"{flag} {path}: scale and shear give no valid pose: {exc}") from None
 
 
 def _cmd_fit(args):
@@ -160,6 +168,9 @@ def _cmd_canon(args):
     return EXIT_OK
 
 
+# An overflow shows up as a non-finite error, which the strict JSON dump
+# rejects, not as a numpy warning.
+@np.errstate(over="ignore", invalid="ignore")
 def _cmd_eval(args):
     gt = _load_params(args.gt)
     est = _load_params(args.est)
@@ -171,12 +182,12 @@ def _cmd_eval(args):
     category = grid.category(categorize(gt_sq.eps1, gt_sq.eps2, grid))
     template = template_points(category, n=args.points)
     group = symmetry_group(gt_sq)
-    pose_gt = _pose_from_record(gt)
-    pose_est = _pose_from_record(est)
+    pose_gt = _pose_from_record(gt, "--gt", args.gt)
+    pose_est = _pose_from_record(est, "--est", args.est)
     report = {
         "schema_version": 1,
         "category_id": category.id,
-        "template_points": int(args.points),
+        "template_points": args.points,
         "mssd_m": mssd(pose_est, pose_gt, template, group),
     }
     if args.intrinsics is not None:
@@ -187,7 +198,10 @@ def _cmd_eval(args):
         report["mssd_accuracy"] = accuracy_curve([report["mssd_m"]], args.thresholds).tolist()
         if "mspd_px" in report:
             report["mspd_accuracy"] = accuracy_curve([report["mspd_px"]], args.thresholds).tolist()
-    text = json.dumps(report, indent=2, sort_keys=True) + "\n"
+    try:
+        text = json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    except ValueError:
+        raise ValueError("a pose error overflows float64; no report is written") from None
     if args.output is not None:
         _write(args.output, text.encode("ascii"))
     else:

@@ -10,6 +10,8 @@ Point clouds are plain (n, 3) float arrays in meters.
 
 import bisect
 import math
+import numbers
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,6 +29,33 @@ _FLOAT_MIN = np.finfo(float).min
 
 # Points per block in farthest_point_sample's sorted layout.
 _FPS_BLOCK = 128
+
+
+def _integer(value, name, low, high=math.inf):
+    """`value`, an integer (Python or numpy, not bool) in [low, high], as a Python int.
+
+    Anything else, 3.0 included, raises a ValueError naming the argument `name`.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    k = operator.index(value)
+    if not low <= k <= high:
+        bound = f">= {low}" if high == math.inf else f"in [{low}, {high}]"
+        raise ValueError(f"{name} must be {bound}, got {k}")
+    return k
+
+
+def _frozen(value, shape, message, ok=math.isfinite):
+    """A read-only float copy of `value`, of the given shape, with `ok` true at every entry.
+
+    Anything else raises ValueError(message). `ok` runs on Python floats,
+    faster than numpy on a few entries; a NaN fails every comparison.
+    """
+    arr = np.array(value, dtype=float)
+    if arr.shape != shape or not all(map(ok, arr.ravel().tolist())):
+        raise ValueError(message)
+    arr.setflags(write=False)
+    return arr
 
 
 def as_points(points):
@@ -69,26 +98,17 @@ class Superquadric:
     def __post_init__(self):
         object.__setattr__(self, "eps1", float(self.eps1))
         object.__setattr__(self, "eps2", float(self.eps2))
-        scale = np.array(self.scale, dtype=float)
-        rot = np.array(self.rotation, dtype=float)
-        trans = np.array(self.translation, dtype=float)
-        # Checked on Python floats: numpy calls on 3- and 4-element arrays
-        # cost more than the checks. A NaN fails every comparison.
-        if scale.shape != (3,) or not all(0.0 < v < math.inf for v in scale.tolist()):
-            raise ValueError("scale must be three finite positive lengths")
-        if rot.shape != (4,) or not all(map(math.isfinite, rot.tolist())):
-            raise ValueError("rotation must be a finite quaternion (w, x, y, z)")
+        scale = _frozen(self.scale, (3,), "scale must be three finite positive lengths",
+                        lambda v: 0.0 < v < math.inf)
+        rot = _frozen(self.rotation, (4,), "rotation must be a finite quaternion (w, x, y, z)")
         # The norm as np.linalg.norm takes it for a 1-D array, so the
         # tolerance's boundary keeps its bits.
         if abs(math.sqrt(rot.dot(rot)) - 1.0) > _QUAT_NORM_TOL:
             raise ValueError("rotation quaternion must have unit norm")
-        if trans.shape != (3,) or not all(map(math.isfinite, trans.tolist())):
-            raise ValueError("translation must be a finite 3-vector")
+        trans = _frozen(self.translation, (3,), "translation must be a finite 3-vector")
         for name, e in (("eps1", self.eps1), ("eps2", self.eps2)):
             if not EPS_MIN <= e <= EPS_MAX:
                 raise ValueError(f"{name} must lie in [{EPS_MIN}, {EPS_MAX}], got {e}")
-        for arr in (scale, rot, trans):
-            arr.setflags(write=False)
         object.__setattr__(self, "scale", scale)
         object.__setattr__(self, "rotation", rot)
         object.__setattr__(self, "translation", trans)
@@ -287,10 +307,8 @@ def sample_surface(sq, n, seed=0):
     drawn from `seed`; jitter stays strictly inside each cell so the poles
     are never hit exactly and no duplicate points arise.
     """
-    n = int(n)
-    if n < 1:
-        raise ValueError("sample count must be >= 1")
-    return _surface_points(sq, n, seed, np.arange(n))
+    n = _integer(n, "n", 1)
+    return _surface_points(sq, n, _integer(seed, "seed", 0), np.arange(n))
 
 
 def _surface_points(sq, n, seed, picks):
@@ -345,12 +363,8 @@ def farthest_point_sample(points, k, start=0):
     """
     pts = as_points(points)
     n = pts.shape[0]
-    k = int(k)
-    start = int(start)
-    if not 1 <= k <= n:
-        raise ValueError(f"k must be in [1, {n}], got {k}")
-    if not 0 <= start < n:
-        raise ValueError(f"start index {start} out of range for {n} points")
+    k = _integer(k, "k", 1, n)
+    start = _integer(start, "start", 0, n - 1)
     B = _FPS_BLOCK
     nb = -(-n // B)
     rows = np.ascontiguousarray(pts.T)

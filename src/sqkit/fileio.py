@@ -14,7 +14,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import Superquadric, as_points, sample_surface
+from .core import Superquadric, _integer, as_points, sample_surface
 from .metrics import CameraIntrinsics
 from .rotations import quat_canonical, quat_from_euler_xyz, quat_normalize
 
@@ -363,7 +363,7 @@ def record_from_superquadric(sq, shear=None, category_id=None):
         rotation=tuple(float(v) for v in quat_canonical(sq.rotation)),
         translation=tuple(float(v) for v in sq.translation),
         shear=None if shear is None else tuple(float(v) for v in shear),
-        category_id=None if category_id is None else int(category_id),
+        category_id=None if category_id is None else _integer(category_id, "category_id", 0),
     )
 
 
@@ -473,8 +473,8 @@ class GenConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if int(self.n_points) < 1:
-            raise ValueError("n_points must be >= 1")
+        for name, low in (("n_points", 1), ("seed", 0)):
+            object.__setattr__(self, name, _integer(getattr(self, name), name, low))
         if not 0 <= self.noise_sigma < np.inf:
             raise ValueError("noise_sigma must be finite and >= 0")
         if not 0.0 < self.visible_fraction <= 1.0:
@@ -483,7 +483,7 @@ class GenConfig:
             raise ValueError("keeps no point: round(visible_fraction * n_points) is 0")
 
     def _kept(self):
-        return int(round(self.visible_fraction * int(self.n_points)))
+        return int(round(self.visible_fraction * self.n_points))
 
 
 def gen_synthetic(sq, cfg):
@@ -496,9 +496,9 @@ def gen_synthetic(sq, cfg):
     """
     if not isinstance(cfg, GenConfig):
         raise ValueError("cfg must be a GenConfig")
-    n = int(cfg.n_points)
+    n = cfg.n_points
     pts = sample_surface(sq, n, cfg.seed)
-    rng = np.random.default_rng(np.random.SeedSequence([int(cfg.seed), 0xC10D]))
+    rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0xC10D]))
     if cfg.noise_sigma > 0:
         pts = pts + rng.normal(scale=cfg.noise_sigma, size=pts.shape)
     if cfg.visible_fraction < 1.0:

@@ -23,13 +23,12 @@ above twice the lowest final objective of the starts before it stops as
 """
 
 import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import (EPS_MIN, EPS_MAX, Superquadric, _linear_rows, _local_rows, _radial_residual,
-                   as_points)
+from .core import (EPS_MIN, EPS_MAX, Superquadric, _integer, _linear_rows, _local_rows,
+                   _radial_residual, as_points)
 from .rotations import matrix_to_quat, quat_mul, quat_normalize, quat_to_matrix
 
 
@@ -83,16 +82,8 @@ class FitConfig:
     seed: int = 0
 
     def __post_init__(self):
-        # Integers only (Python or numpy, not bool), kept as Python ints.
-        for name in ("max_iterations", "multistart", "seed"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-            object.__setattr__(self, name, int(value))
-        if self.max_iterations < 1 or self.multistart < 1:
-            raise ValueError("iteration and start counts must be >= 1")
-        if self.seed < 0:
-            raise ValueError("seed must be >= 0")
+        for name, low in (("max_iterations", 1), ("multistart", 1), ("seed", 0)):
+            object.__setattr__(self, name, _integer(getattr(self, name), name, low))
         if not self.convergence_tol > 0:
             raise ValueError("convergence_tol must be positive")
         if not 0 <= self.noise_scale < np.inf:
@@ -326,9 +317,8 @@ def initial_guesses(points, k, seed=0):
     """
     pts = as_points(points)
     n = pts.shape[0]
-    k = int(k)
-    if k < 1:
-        raise ValueError("guess count must be >= 1")
+    k = _integer(k, "k", 1)
+    seed = _integer(seed, "seed", 0)
     if n < _N_PARAMS:
         raise UnderDeterminedError(f"need at least {_N_PARAMS} points, got {n}")
     centroid = pts.mean(axis=0)

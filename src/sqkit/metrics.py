@@ -13,7 +13,7 @@ from functools import partial
 
 import numpy as np
 
-from .core import _linear_rows, _posed_rows, as_points
+from .core import _frozen, _linear_rows, _posed_rows, as_points
 from .shapespace import expand_symmetries
 
 # Template points times symmetries per broadcast block: each coordinate row of
@@ -29,16 +29,10 @@ class PoseHypothesis:
     translation: np.ndarray
 
     def __post_init__(self):
-        M = np.array(self.matrix, dtype=float)
-        t = np.array(self.translation, dtype=float)
-        if M.shape != (3, 3) or not np.all(np.isfinite(M)):
-            raise ValueError("pose matrix must be a finite 3x3 matrix")
+        M = _frozen(self.matrix, (3, 3), "pose matrix must be a finite 3x3 matrix")
         if np.linalg.det(M) <= 0.0:
             raise ValueError("pose matrix must have positive determinant")
-        if t.shape != (3,) or not np.all(np.isfinite(t)):
-            raise ValueError("pose translation must be a finite 3-vector")
-        M.setflags(write=False)
-        t.setflags(write=False)
+        t = _frozen(self.translation, (3,), "pose translation must be a finite 3-vector")
         object.__setattr__(self, "matrix", M)
         object.__setattr__(self, "translation", t)
 

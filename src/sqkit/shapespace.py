@@ -12,13 +12,13 @@ cross-sections make z a revolution axis. Each group is stored as data: one
 
 import functools
 import math
-import operator
 import pathlib
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import EPS_MIN, Superquadric, _surface_points, farthest_point_sample, sample_surface
+from .core import (EPS_MIN, Superquadric, _integer, _surface_points, farthest_point_sample,
+                   sample_surface)
 from .rotations import is_rotation_matrix, rotation_about_z
 
 # Size of the dense surface sample a template is farthest-point-sampled from;
@@ -80,13 +80,8 @@ class ShapeGrid:
         return len(self.eps1_values) * len(self.eps2_values)
 
     def category(self, category_id):
-        """The node with this id; only integers (Python or numpy) are ids."""
-        try:
-            k = operator.index(category_id)
-        except TypeError:
-            raise ValueError(f"category id must be an integer, got {category_id!r}") from None
-        if not 0 <= k < self.n_categories:
-            raise ValueError(f"category id {category_id} out of range")
+        """The node with this id."""
+        k = _integer(category_id, "category_id", 0, self.n_categories - 1)
         i1, i2 = divmod(k, len(self.eps2_values))
         return ShapeCategory(k, self.eps1_values[i1], self.eps2_values[i2])
 
@@ -157,12 +152,9 @@ def template_points(category, n=512, dense_n=DENSE_SAMPLE_SIZE, seed=0):
     run are the n-pick run. Only those n points of the dense sample are then
     computed, to the same bits. Every other request runs FPS.
     """
-    n = int(n)
-    dense_n = int(dense_n)
-    if n < 1:
-        raise ValueError("template size must be >= 1")
-    if n > dense_n:
-        raise ValueError(f"template size {n} exceeds dense sample size {dense_n}")
+    dense_n = _integer(dense_n, "dense_n", 1)
+    n = _integer(n, "n", 1, dense_n)
+    seed = _integer(seed, "seed", 0)
     exponents = _floored(category)
     unit = Superquadric(*exponents, scale=np.ones(3))
     if seed == 0 and dense_n == DENSE_SAMPLE_SIZE and n <= _STORED_PICKS:

@@ -1,0 +1,76 @@
+"""Counts, sizes, indices and seeds follow one integer rule at every entry point.
+
+Each must be a Python or numpy integer, not a bool, within its range. Anything
+else, an integral float such as 3.0 included, raises a ValueError that names
+the argument instead of being truncated by int(). A numpy integer gives the
+same result, bit for bit, as the Python int of the same value.
+"""
+
+import re
+
+import numpy as np
+import pytest
+
+import sqkit as sk
+
+SHAPE = sk.Superquadric(0.5, 0.7, np.array([1.0, 2.0, 3.0]))
+CLOUD = sk.sample_surface(SHAPE, 40, seed=1)
+CATEGORY = sk.default_grid().category(7)
+
+
+def _gen(n_points=30, seed=3):
+    cfg = sk.GenConfig(n_points=n_points, noise_sigma=0.01, visible_fraction=0.5, seed=seed)
+    return sk.gen_synthetic(SHAPE, cfg)
+
+
+# (argument, call with the argument set to v, a valid value, an out-of-range int)
+ENTRY_POINTS = {
+    "sample_surface.n": ("n", lambda v: sk.sample_surface(SHAPE, v, seed=3), 10, 0),
+    "sample_surface.seed": ("seed", lambda v: sk.sample_surface(SHAPE, 10, seed=v), 5, -1),
+    "farthest_point_sample.k": ("k", lambda v: sk.farthest_point_sample(CLOUD, v, start=2),
+                                6, 41),
+    "farthest_point_sample.start": ("start", lambda v: sk.farthest_point_sample(CLOUD, 6, start=v),
+                                    7, 40),
+    "template_points.n": ("n", lambda v: sk.template_points(CATEGORY, n=v, dense_n=64, seed=1),
+                          6, 65),
+    "template_points.dense_n": ("dense_n", lambda v: sk.template_points(CATEGORY, n=6, dense_n=v),
+                                64, 0),
+    "template_points.seed": ("seed", lambda v: sk.template_points(CATEGORY, n=6, dense_n=64,
+                                                                  seed=v), 2, -1),
+    "initial_guesses.k": ("k", lambda v: sk.initial_guesses(CLOUD, v, seed=2), 11, 0),
+    "initial_guesses.seed": ("seed", lambda v: sk.initial_guesses(CLOUD, 11, seed=v), 4, -1),
+    "FitConfig.max_iterations": ("max_iterations", lambda v: sk.FitConfig(max_iterations=v),
+                                 7, 0),
+    "FitConfig.multistart": ("multistart", lambda v: sk.FitConfig(multistart=v), 2, 0),
+    "FitConfig.seed": ("seed", lambda v: sk.FitConfig(seed=v), 3, -1),
+    "GenConfig.n_points": ("n_points", lambda v: _gen(n_points=v), 30, 0),
+    "GenConfig.seed": ("seed", lambda v: _gen(seed=v), 9, -1),
+    "ShapeGrid.category": ("category_id", lambda v: sk.default_grid().category(v), 12, 25),
+}
+
+
+def _bits(result):
+    """Everything a result holds, as bytes and reprs: equal only for the same bits and types."""
+    if isinstance(result, np.ndarray):
+        return result.dtype.str, result.shape, result.tobytes()
+    if isinstance(result, list):
+        return [_bits(item) for item in result]
+    if isinstance(result, sk.Superquadric):
+        return _bits([np.array([result.eps1, result.eps2]), result.scale, result.rotation,
+                      result.translation])
+    return repr(result)
+
+
+@pytest.mark.parametrize("entry", ENTRY_POINTS)
+@pytest.mark.parametrize("value", [True, 2.5, 3.0, "6", None, "out_of_range"])
+def test_rejects_everything_but_an_integer_in_range(entry, value):
+    name, call, _, out_of_range = ENTRY_POINTS[entry]
+    with pytest.raises(ValueError, match=rf"^{re.escape(name)} must be "):
+        call(out_of_range if value == "out_of_range" else value)
+
+
+@pytest.mark.parametrize("entry", ENTRY_POINTS)
+@pytest.mark.parametrize("numpy_type", [np.int64, np.int32, np.uint8])
+def test_numpy_integers_give_the_same_bits(entry, numpy_type):
+    _, call, valid, _ = ENTRY_POINTS[entry]
+    assert _bits(call(numpy_type(valid))) == _bits(call(valid))

@@ -253,6 +253,8 @@ class TestComposeAffine:
         M, t = sk.compose_affine(np.eye(3), np.ones(3), np.zeros(3), np.zeros(3))
         npt.assert_array_equal(M, np.eye(3))
         npt.assert_array_equal(t, np.zeros(3))
+        # The validated inputs are frozen; the returned pose is the caller's to change.
+        assert M.flags.writeable and t.flags.writeable
 
     def test_pure_scale(self):
         M, _ = sk.compose_affine(np.eye(3), np.array([2.0, 3.0, 4.0]),

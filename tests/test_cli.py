@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -373,6 +374,35 @@ class TestEval:
         assert main(["eval", "--gt", sphere_params, "--est", sphere_params,
                      "--intrinsics", str(intr), "--output", str(out)]) == 3
         assert "behind camera" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("output", [False, True], ids=["stdout", "file"])
+    def test_overflowing_error_exits_3_without_report_or_warning(self, tmp_path, sphere_params,
+                                                                  capsys, output):
+        # A valid record, but det(M) and the squared distances overflow float64.
+        p = tmp_path / "huge.json"
+        p.write_text(json.dumps(dict(SPHERE, scale=[1e300, 1e300, 1e300])))
+        out = tmp_path / "report.json"
+        argv = ["eval", "--gt", str(p), "--est", sphere_params]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv + (["--output", str(out)] if output else [])) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("sqkit: ")
+        assert not out.exists()
+
+    def test_record_without_valid_pose_exits_2(self, tmp_path, sphere_params, capsys):
+        # parse_params accepts it; its scale and shear give a matrix with det < 0.
+        p = tmp_path / "sheared.json"
+        p.write_text(json.dumps(dict(SPHERE, scale=[0.05, 0.06, 0.07], shear=[0.5, 0.0, 0.0])))
+        sk.parse_params(p.read_bytes())
+        out = tmp_path / "report.json"
+        assert main(["eval", "--gt", sphere_params, "--est", str(p),
+                     "--output", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"--est {p}" in err and "positive determinant" in err
         assert not out.exists()
 
     def test_bad_intrinsics_file(self, tmp_path, sphere_params):

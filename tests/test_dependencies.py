@@ -32,6 +32,34 @@ def test_sources_import_only_stdlib_and_numpy():
             assert name.split(".")[0] in ALLOWED, f"{path.name} imports {name}"
 
 
+def _int_casts_of_arguments(path):
+    """(function, line) of each int(p) or int(p.field) on a parameter p of the function."""
+    for func in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        a = func.args
+        params = {arg.arg for arg in a.posonlyargs + a.args + a.kwonlyargs + [a.vararg, a.kwarg]
+                  if arg is not None}
+        for node in ast.walk(func):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id == "int" and len(node.args) == 1):
+                arg = node.args[0]
+                if isinstance(arg, ast.Attribute):
+                    arg = arg.value
+                if isinstance(arg, ast.Name) and arg.id in params:
+                    yield getattr(func, "name", "<lambda>"), node.lineno
+
+
+def test_sources_check_integer_arguments_instead_of_truncating_them():
+    """int() on an argument silently truncates 2.7 to 2 and accepts True as 1;
+    counts, sizes, indices and seeds go through core._integer instead."""
+    sources = sorted((ROOT / "src" / "sqkit").glob("*.py"))
+    assert sources
+    casts = [f"{path.name}:{line} in {func}"
+             for path in sources for func, line in _int_casts_of_arguments(path)]
+    assert not casts, "int() on an argument: " + ", ".join(casts)
+
+
 def test_project_declares_only_numpy():
     tomllib = pytest.importorskip("tomllib")  # Python 3.11+
     with open(ROOT / "pyproject.toml", "rb") as f:

@@ -329,6 +329,14 @@ class TestParamsRecord:
         rec = sk.parse_params(sk.write_params(sk.record_from_superquadric(sq)))
         assert rec.shear is None and rec.category_id is None
 
+    @pytest.mark.parametrize("category_id", [2.5, 3.0, True, "6", -1])
+    def test_category_id_must_be_a_nonnegative_integer(self, category_id):
+        sq = random_superquadric(np.random.default_rng(4))
+        with pytest.raises(ValueError, match="^category_id must be "):
+            sk.record_from_superquadric(sq, category_id=category_id)
+        rec = sk.record_from_superquadric(sq, category_id=np.int64(12))
+        assert type(rec.category_id) is int and rec.category_id == 12
+
     def test_euler_rotation_accepted(self):
         payload = {"schema_version": 1, "eps": [0.5, 0.5], "scale": [1, 1, 1],
                    "euler_xyz": [0.1, -0.2, 0.3], "translation": [0, 0, 0]}
