@@ -1,26 +1,34 @@
 """Command-line interface: fit, sample, canon, eval, gen, grid.
 
+A parameter record places the unit-scale shape of its eps in the world by
+its pose, rotation @ P(scale, shear) + translation (`ParamsRecord.pose`).
+`sample` draws that posed surface, shear included, which is the surface
+`eval` scores; `gen` and `canon` read a record as a `Superquadric`, which has
+no shear, so they refuse a record with a nonzero one.
+
 Exit codes: 0 success; 1 usage error (a bad flag value, such as text, nan, inf
 or a negative --seed; grid without --list; sample --fps above --n; a gen
 whose --visible keeps no point of --n); 2 parse/format error (including an
 input that cannot be read, an output that cannot be written, an eval --gt
-record whose eps2 > 1 is not canonical, and an eval record whose scale and
-shear give no valid pose; eval writes no report for either); 3 numerical
-failure (non-convergence, degenerate input, a cloud beyond the float32 range
-of PLY coordinates, eval --intrinsics with a template point at or behind the
-camera, an eval whose pose error overflows to a non-finite value). Diagnostics
-go to stderr.
+record whose eps2 > 1 is not canonical, a record whose scale and shear give
+no valid pose, and a gen or canon record with a nonzero shear; none of them
+writes a file); 3 numerical failure (non-convergence, degenerate input, a
+cloud beyond the float32 range of PLY coordinates, eval --intrinsics with a
+template point at or behind the camera, an eval whose pose error overflows
+to a non-finite value). Diagnostics go to stderr; one about an input file
+starts with its flag and path.
 """
 
 import argparse
+import contextlib
 import json
 import math
 import sys
 
 import numpy as np
 
-from .canonical import canonicalize, compose_affine, decompose_scale_shear
-from .core import farthest_point_sample, sample_surface
+from .canonical import canonicalize, decompose_scale_shear
+from .core import Superquadric, farthest_point_sample, sample_surface
 from .fileio import (
     GenConfig,
     ParseError,
@@ -33,7 +41,7 @@ from .fileio import (
     write_ply,
 )
 from .fitting import FitConfig, fit
-from .metrics import PoseHypothesis, accuracy_curve, mspd, mssd
+from .metrics import accuracy_curve, mspd, mssd
 from .shapespace import (
     DENSE_SAMPLE_SIZE,
     categorize,
@@ -54,12 +62,22 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _read(path):
+@contextlib.contextmanager
+def _input(flag, path):
+    """The bytes of the file `path` given to `flag`, for a block that checks them.
+
+    A ValueError raised while reading the file or inside the block becomes a
+    ParseError (exit 2) whose message starts with the flag and the path.
+    """
     try:
-        with open(path, "rb") as f:
-            return f.read()
-    except OSError as exc:
-        raise ParseError(f"cannot read {path}: {exc.strerror}") from None
+        try:
+            with open(path, "rb") as f:
+                data = f.read()
+        except OSError as exc:
+            raise ParseError(f"cannot read: {exc.strerror}") from None
+        yield data
+    except ValueError as exc:
+        raise ParseError(f"{flag} {path}: {exc}") from None
 
 
 def _write(path, data):
@@ -70,8 +88,11 @@ def _write(path, data):
         raise ParseError(f"cannot write {path}: {exc.strerror}") from None
 
 
-def _load_params(path):
-    return parse_params(_read(path))
+def _unsheared(record, command):
+    """The record as a `Superquadric`, which has no shear; a nonzero shear is a ParseError."""
+    if record.shear is not None and any(v != 0.0 for v in record.shear):
+        raise ParseError(f"{command} expects a pure parameter record without shear")
+    return record.to_superquadric()
 
 
 def _flag(convert, rule, ok):
@@ -99,19 +120,9 @@ _thresholds = _flag(lambda text: [float(tok) for tok in text.split(",") if tok.s
                     lambda v: v and all(map(math.isfinite, v)) and v == sorted(v))
 
 
-def _pose_from_record(record, flag, path):
-    """The record's pose; a scale and shear that give none make the file a parse error."""
-    sq = record.to_superquadric()
-    try:
-        return PoseHypothesis(*compose_affine(sq.rotation_matrix, record.scale,
-                                              record.shear or (0.0, 0.0, 0.0),
-                                              record.translation))
-    except ValueError as exc:
-        raise ParseError(f"{flag} {path}: scale and shear give no valid pose: {exc}") from None
-
-
 def _cmd_fit(args):
-    cloud = parse_ply(_read(args.input))
+    with _input("--input", args.input) as data:
+        cloud = parse_ply(data)
     config = FitConfig(
         max_iterations=args.max_iters,
         multistart=args.multistart,
@@ -135,8 +146,11 @@ def _cmd_sample(args):
         print(f"sqkit sample: error: --fps {args.fps} exceeds --n {args.n}, "
               "the number of points it picks from", file=sys.stderr)
         return EXIT_USAGE
-    sq = _load_params(args.params).to_superquadric()
-    cloud = sample_surface(sq, args.n, seed=0)
+    with _input("--params", args.params) as data:
+        record = parse_params(data)
+        pose = record.pose()
+    unit = Superquadric(*record.eps, scale=np.ones(3))
+    cloud = pose.apply(sample_surface(unit, args.n, seed=0))
     if args.fps is not None:
         idx = farthest_point_sample(cloud, args.fps, start=0)
         cloud = cloud[idx]
@@ -145,10 +159,9 @@ def _cmd_sample(args):
 
 
 def _cmd_canon(args):
-    record = _load_params(args.params)
-    if record.shear is not None and any(v != 0.0 for v in record.shear):
-        raise ParseError("canon expects a pure parameter record without shear")
-    result = canonicalize(record.to_superquadric())
+    with _input("--params", args.params) as data:
+        sq = _unsheared(parse_params(data), "canon")
+    result = canonicalize(sq)
     matrix, translation = result.compose()
     rotation, scale, shear = decompose_scale_shear(matrix)
     # The record's shear is the fold's own: exactly 0 when nothing was
@@ -168,22 +181,20 @@ def _cmd_canon(args):
     return EXIT_OK
 
 
-# An overflow shows up as a non-finite error, which the strict JSON dump
-# rejects, not as a numpy warning.
-@np.errstate(over="ignore", invalid="ignore")
 def _cmd_eval(args):
-    gt = _load_params(args.gt)
-    est = _load_params(args.est)
+    with _input("--gt", args.gt) as data:
+        gt = parse_params(data)
+        if gt.eps[1] > 1.0:
+            raise ParseError(f"eps2 {gt.eps[1]:g} > 1 is not canonical; "
+                             "run `sqkit canon` on it first")
+        pose_gt = gt.pose()
+    with _input("--est", args.est) as data:
+        pose_est = parse_params(data).pose()
     gt_sq = gt.to_superquadric()
-    if gt_sq.eps2 > 1.0:
-        raise ParseError(f"--gt {args.gt}: eps2 {gt_sq.eps2:g} > 1 is not canonical; "
-                         "run `sqkit canon` on it first")
     grid = default_grid()
     category = grid.category(categorize(gt_sq.eps1, gt_sq.eps2, grid))
     template = template_points(category, n=args.points)
     group = symmetry_group(gt_sq)
-    pose_gt = _pose_from_record(gt, "--gt", args.gt)
-    pose_est = _pose_from_record(est, "--est", args.est)
     report = {
         "schema_version": 1,
         "category_id": category.id,
@@ -191,7 +202,8 @@ def _cmd_eval(args):
         "mssd_m": mssd(pose_est, pose_gt, template, group),
     }
     if args.intrinsics is not None:
-        intrinsics = parse_intrinsics(_read(args.intrinsics))
+        with _input("--intrinsics", args.intrinsics) as data:
+            intrinsics = parse_intrinsics(data)
         report["mspd_px"] = mspd(pose_est, pose_gt, template, group, intrinsics)
     if args.thresholds is not None:
         report["thresholds"] = args.thresholds
@@ -216,7 +228,8 @@ def _cmd_gen(args):
     except ValueError as exc:
         print(f"sqkit gen: error: --n {args.n} --visible {args.visible} {exc}", file=sys.stderr)
         return EXIT_USAGE
-    sq = _load_params(args.params).to_superquadric()
+    with _input("--params", args.params) as data:
+        sq = _unsheared(parse_params(data), "gen")
     _write(args.output, write_ply(gen_synthetic(sq, cfg)))
     return EXIT_OK
 
@@ -291,7 +304,11 @@ def main(argv=None):
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
-        return args.func(args)
+        # An overflow shows up as a non-finite value, which each command
+        # refuses to write (write_ply beyond float32, eval's strict JSON),
+        # not as a numpy warning.
+        with np.errstate(over="ignore", invalid="ignore"):
+            return args.func(args)
     except ParseError as exc:
         print(f"sqkit: {exc}", file=sys.stderr)
         return EXIT_PARSE

@@ -14,9 +14,10 @@ from typing import Optional
 
 import numpy as np
 
+from .canonical import compose_affine
 from .core import Superquadric, _integer, as_points, sample_surface
-from .metrics import CameraIntrinsics
-from .rotations import quat_canonical, quat_from_euler_xyz, quat_normalize
+from .metrics import CameraIntrinsics, PoseHypothesis
+from .rotations import quat_canonical, quat_from_euler_xyz, quat_normalize, quat_to_matrix
 
 PARAMS_SCHEMA_VERSION = 1
 
@@ -350,10 +351,21 @@ class ParamsRecord:
     category_id: Optional[int] = None
 
     def to_superquadric(self):
+        """The shape without its shear: exact only for a record whose shear is absent or 0."""
         return Superquadric(
             eps1=self.eps[0], eps2=self.eps[1], scale=np.array(self.scale),
             rotation=np.array(self.rotation), translation=np.array(self.translation),
         )
+
+    def pose(self):
+        """The affine pose rotation @ P(scale, shear) + translation that places the
+        unit-scale shape `Superquadric(*eps, np.ones(3))` in the world.
+
+        Raises ValueError where the scale and shear give no matrix with a
+        positive determinant.
+        """
+        return PoseHypothesis(*compose_affine(quat_to_matrix(self.rotation), self.scale,
+                                              self.shear or (0.0, 0.0, 0.0), self.translation))
 
 
 def record_from_superquadric(sq, shear=None, category_id=None):
@@ -424,9 +436,10 @@ def parse_params(data):
         rotation = quat_from_euler_xyz(*vector("euler_xyz", 3))
     else:
         raise ParseError("missing rotation ('rotation' quaternion or 'euler_xyz')")
-    norm = float(np.linalg.norm(rotation))
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(rotation))
     if norm == 0.0 or not np.isfinite(norm):
-        raise ParseError("rotation quaternion must be nonzero and finite")
+        raise ParseError("rotation quaternion must be nonzero, with a finite norm")
     if abs(norm - 1.0) > 1e-12:
         rotation = quat_normalize(rotation)
     shear = vector("shear", 3, required=False)

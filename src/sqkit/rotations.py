@@ -120,11 +120,23 @@ def random_quaternion(rng):
     return quat_canonical(quat_normalize(q))
 
 
+_EYE = np.eye(3)
+# np.allclose's default rtol times |I|: 1e-5 on the diagonal, 0 off it.
+_GRAM_RTOL = 1e-5 * _EYE
+
+
 def is_rotation_matrix(R, tol=1e-6):
-    """True if R, or every matrix of a stack of them, is proper orthonormal within tol."""
+    """True if R, or every matrix of a stack of them, is proper orthonormal within tol.
+
+    Entry by entry |R^T R - I| <= tol + 1e-5 I, which is what
+    np.allclose(R^T R, I, atol=tol) tests, without its overhead; then
+    |det R - 1| <= tol.
+    """
     R = np.asarray(R, dtype=float)
-    if R.shape[-2:] != (3, 3) or not np.all(np.isfinite(R)):
+    if R.shape[-2:] != (3, 3) or not np.isfinite(R).all():
         return False
-    if not np.allclose(np.swapaxes(R, -1, -2) @ R, np.eye(3), atol=tol):
+    gram = np.swapaxes(R, -1, -2) @ R
+    gram -= _EYE
+    if not (np.abs(gram) <= tol + _GRAM_RTOL).all():
         return False
-    return bool(np.all(np.abs(np.linalg.det(R) - 1.0) <= tol))
+    return bool((np.abs(np.linalg.det(R) - 1.0) <= tol).all())

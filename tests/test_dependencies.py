@@ -32,6 +32,15 @@ def test_sources_import_only_stdlib_and_numpy():
             assert name.split(".")[0] in ALLOWED, f"{path.name} imports {name}"
 
 
+def test_cli_builds_no_pose_of_its_own():
+    """A record's pose comes only from ParamsRecord.pose, so the CLI cannot
+    compose one that differs from what `sample` draws and `eval` scores."""
+    path = ROOT / "src" / "sqkit" / "cli.py"
+    imported = {alias.name for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+                if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names}
+    assert not imported & {"compose_affine", "PoseHypothesis"}
+
+
 def _int_casts_of_arguments(path):
     """(function, line) of each int(p) or int(p.field) on a parameter p of the function."""
     for func in ast.walk(ast.parse(path.read_text(), filename=str(path))):

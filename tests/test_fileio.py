@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 import sqkit as sk
 from sqkit import fileio
+from sqkit.rotations import quat_to_matrix
 from conftest import ply_body_oracle, random_superquadric
 
 
@@ -324,6 +325,27 @@ class TestParamsRecord:
         assert back.shear == rec.shear
         assert back.category_id == 7
 
+    @pytest.mark.parametrize("shear", [None, (0.0, 0.0, 0.0), (0.001, 0.0, 0.002)])
+    def test_pose_composes_rotation_scale_shear_and_translation(self, shear):
+        sq = random_superquadric(np.random.default_rng(5))
+        rec = sk.record_from_superquadric(sq, shear=shear)
+        M, t = sk.compose_affine(quat_to_matrix(np.array(rec.rotation)), rec.scale,
+                                 shear or (0.0, 0.0, 0.0), rec.translation)
+        pose = rec.pose()
+        npt.assert_array_equal(pose.matrix, M)
+        npt.assert_array_equal(pose.translation, t)
+        # the unit-scale shape posed by an unsheared record is the record's surface
+        if not any(shear or ()):
+            unit = sk.sample_surface(sk.Superquadric(*rec.eps, scale=np.ones(3)), 64, seed=0)
+            npt.assert_allclose(pose.apply(unit), sk.sample_surface(sq, 64, seed=0),
+                                rtol=0, atol=1e-15)
+
+    def test_pose_without_positive_determinant_raises(self):
+        rec = sk.ParamsRecord(eps=(1.0, 1.0), scale=(0.05, 0.06, 0.07), rotation=(1.0, 0, 0, 0),
+                              translation=(0.0, 0.0, 0.0), shear=(0.5, 0.0, 0.0))
+        with pytest.raises(ValueError, match="positive determinant"):
+            rec.pose()
+
     def test_optional_fields_omitted(self):
         sq = random_superquadric(np.random.default_rng(4))
         rec = sk.parse_params(sk.write_params(sk.record_from_superquadric(sq)))
@@ -388,6 +410,12 @@ class TestParamsRecord:
         payload = {"schema_version": 1, "eps": [0.5, 0.5], "scale": [1, -1, 1],
                    "rotation": [1, 0, 0, 0], "translation": [0, 0, 0]}
         with pytest.raises(sk.ParseError):
+            sk.parse_params(json.dumps(payload))
+
+    def test_quaternion_whose_norm_overflows_rejected(self):
+        payload = {"schema_version": 1, "eps": [0.5, 0.5], "scale": [1, 1, 1],
+                   "rotation": [1e308] * 4, "translation": [0, 0, 0]}
+        with pytest.raises(sk.ParseError, match="rotation quaternion"):
             sk.parse_params(json.dumps(payload))
 
     def test_invalid_json_reports_position(self):
