@@ -11,11 +11,12 @@ or a negative --seed; grid without --list; sample --fps above --n; a gen
 whose --visible keeps no point of --n); 2 parse/format error (including an
 input that cannot be read, an output that cannot be written, an eval --gt
 record whose eps2 > 1 is not canonical, a record whose scale and shear give
-no valid pose, and a gen or canon record with a nonzero shear; none of them
-writes a file); 3 numerical failure (non-convergence, degenerate input, a
-cloud beyond the float32 range of PLY coordinates, eval --intrinsics with a
-template point at or behind the camera, an eval whose pose error overflows
-to a non-finite value). Diagnostics go to stderr; one about an input file
+no valid pose, and a gen or canon record with a nonzero shear); 3 numerical
+failure (non-convergence, degenerate input, a cloud beyond the float32 range
+of PLY coordinates, eval --intrinsics with a template point at or behind the
+camera, an eval whose pose error overflows to a non-finite value). No nonzero
+exit writes a file; a fit that does not converge still prints its
+rms_residual_m line. Diagnostics go to stderr; one about an input file
 starts with its flag and path.
 """
 
@@ -130,13 +131,14 @@ def _cmd_fit(args):
         seed=args.seed,
     )
     result = fit(cloud, config)
-    sq = canonicalize(result.params).canonical
-    category = categorize(sq.eps1, sq.eps2, default_grid())
-    record = record_from_superquadric(sq, category_id=category)
-    _write(args.output, write_params(record))
+    if result.converged:
+        sq = canonicalize(result.params).canonical
+        category = categorize(sq.eps1, sq.eps2, default_grid())
+        _write(args.output, write_params(record_from_superquadric(sq, category_id=category)))
     print(f"rms_residual_m={result.rms_residual:.9g}")
     if not result.converged:
-        print("fit did not converge within the iteration budget", file=sys.stderr)
+        print("fit did not converge within the iteration budget; no file is written",
+              file=sys.stderr)
         return EXIT_NUMERICAL
     return EXIT_OK
 

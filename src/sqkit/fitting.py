@@ -13,13 +13,13 @@ Exponents and scales are projected onto their bounds at step time, and
 several deterministic starts guard against local minima; the lowest-residual
 start wins, ties broken by start index. Each start records why it stopped.
 
-Two rules stop a start that cannot win. Start j >= 3 runs from the same axis
-order as start j - 3; once an accepted step brings it within a small
-distance of that start's end (exponents, scales, translation and rotation),
-it has entered a basin already searched and stops as "duplicate". A start
-that has taken at least ten accepted steps and whose objective is still
-above twice the lowest final objective of the starts before it stops as
-"dominated": its basin is far worse than one already found.
+Two rules stop a start that cannot win. Start j >= 3 runs from the axis
+order of start j - 3; if that start converged and an accepted step brings
+start j within a small distance of its end (exponents, scales, translation
+and rotation), start j has entered a basin already searched and stops as
+"duplicate". A start that has taken at least ten accepted steps and whose
+objective is still above twice the lowest final objective of the starts
+before it stops as "dominated": its basin is far worse than one already found.
 """
 
 import math
@@ -105,7 +105,8 @@ class StartDiagnostic:
         "duplicate": (starts 3 and later) an accepted step brought the
             parameters within the _DUPLICATE_* distances of the final
             parameters of the start three before, which has the same axis
-            order (its "twin"): the basin was already searched;
+            order (its "twin") and converged: the basin was already
+            searched. A twin that stopped at "budget" stops nothing;
         "dominated": after at least _DOMINATED_STEPS accepted steps, the
             objective was above _DOMINATED_FACTOR times the lowest final
             objective of the starts before;
@@ -130,11 +131,8 @@ class StartDiagnostic:
 
 @dataclass(frozen=True, eq=False)
 class FitResult:
-    """Best fit across starts.
-
-    rms_residual is the minimum over all starts; converged reports whether
-    the winning start met the tolerance.
-    """
+    """Best fit across starts: params, rms_residual, iterations and converged
+    are those of the winner, the first start with the lowest RMS residual."""
 
     params: Superquadric
     rms_residual: float
@@ -229,10 +227,9 @@ def _same_basin(x, q, twin_x, twin_q):
 
 
 def _optimize_start(pts, start, config, twin=None, bound=math.inf):
-    """One LM start from `start`; stops as "duplicate" near the superquadric
-    `twin` and as "dominated" on an objective above `bound` (see
-    StartDiagnostic). Returns the final parameters, RMS, accepted steps,
-    kernel calls, stop reason and objective history."""
+    """One LM start from `start`, as its StartDiagnostic; stops as
+    "duplicate" near the superquadric `twin` and as "dominated" on an
+    objective above `bound`."""
     # The parameters and the quaternion are Python floats between the
     # kernel calls; the per-trial bookkeeping is on 11 and 4 numbers.
     if twin is not None:
@@ -300,9 +297,12 @@ def _optimize_start(pts, start, config, twin=None, bound=math.inf):
         if iterations >= _DOMINATED_STEPS and obj > bound:
             stop_reason = "dominated"
             break
-    params = Superquadric(eps1=x[0], eps2=x[1], scale=x[2:5], rotation=q, translation=x[8:11])
-    rms = float(np.sqrt(np.mean(res * res)))
-    return params, rms, iterations, evaluations, stop_reason, tuple(history)
+    return StartDiagnostic(
+        initial=start,
+        params=Superquadric(eps1=x[0], eps2=x[1], scale=x[2:5], rotation=q, translation=x[8:11]),
+        rms_residual=float(np.sqrt(np.mean(res * res))), iterations=iterations,
+        evaluations=evaluations, stop_reason=stop_reason, objective_history=tuple(history),
+    )
 
 
 def initial_guesses(points, k, seed=0):
@@ -409,26 +409,22 @@ def fit(points, config=None):
     # reads contiguous; the guesses' moments above keep the input's sums.
     cols = np.asfortranarray(pts)
     diagnostics = []
-    best = None
     best_obj = math.inf
     for idx, start in enumerate(starts):
-        twin = diagnostics[idx - 3].params if idx >= 3 else None
-        params, rms, iters, evals, stop_reason, history = _optimize_start(
-            cols, start, config, twin, _DOMINATED_FACTOR * best_obj)
-        best_obj = min(best_obj, history[-1])
-        diag = StartDiagnostic(
-            initial=start, params=params, rms_residual=rms, iterations=iters,
-            evaluations=evals, stop_reason=stop_reason, objective_history=history,
-        )
+        # A twin that stopped at "budget" has not searched its basin.
+        twin = diagnostics[idx - 3] if idx >= 3 else None
+        diag = _optimize_start(cols, start, config,
+                               twin.params if twin is not None and twin.converged else None,
+                               _DOMINATED_FACTOR * best_obj)
+        best_obj = min(best_obj, diag.objective_history[-1])
         diagnostics.append(diag)
-        if best is None or rms < best[0]:
-            best = (rms, idx, params, iters, diag.converged)
-        if diag.converged and rms <= _RMS_FLOOR_REL * np.max(params.scale):
+        if diag.converged and diag.rms_residual <= _RMS_FLOOR_REL * np.max(diag.params.scale):
             # Essentially exact fit: later starts can only differ by float
             # dust, so the lowest-index perfect start wins deterministically.
             break
-    rms, _, params, iters, conv = best
+    # min keeps the first of equal residuals, and a NaN never displaces an earlier start.
+    best = min(diagnostics, key=lambda d: d.rms_residual)
     return FitResult(
-        params=params, rms_residual=rms, iterations=iters,
-        converged=conv, start_diagnostics=tuple(diagnostics),
+        params=best.params, rms_residual=best.rms_residual, iterations=best.iterations,
+        converged=best.converged, start_diagnostics=tuple(diagnostics),
     )

@@ -241,6 +241,20 @@ class TestFit:
         assert main(["fit", "--input", str(cloud), "--output", str(out)]) == 3
         assert not out.exists()
 
+    @pytest.mark.parametrize("budget", ["1", "2"])
+    def test_non_convergence_exits_3_without_file(self, tmp_path, capsys, budget):
+        params = tmp_path / "gt.json"
+        params.write_text(json.dumps(dict(SPHERE, eps=[0.4, 0.7], scale=[0.04, 0.06, 0.1],
+                                          translation=[0.0, 0.0, 0.0])))
+        cloud = tmp_path / "c.ply"
+        assert main(["gen", "--params", str(params), "--n", "2000", "--noise", "0.001",
+                     "--output", str(cloud)]) == 0
+        out = tmp_path / "fit.json"
+        assert main(["fit", "--input", str(cloud), "--output", str(out),
+                     "--max-iters", budget]) == 3
+        assert not out.exists()
+        assert "rms_residual_m=" in capsys.readouterr().out
+
     def test_fit_writes_reparseable_params(self, tmp_path, sphere_params, capsys):
         cloud = tmp_path / "c.ply"
         assert main(["gen", "--params", sphere_params, "--n", "1500", "--noise", "0",
