@@ -182,45 +182,44 @@ def write_ply(points):
     return b"".join(chunks)
 
 
+def _lines(text):
+    """PLY lines, which end at \\n, \\r\\n and \\r only (str.splitlines also breaks
+    at \\v, \\f, \\x1c-\\x1e, \\x85, \\u2028 and \\u2029)."""
+    if "\r" in text:  # one character is cheap to find; "\r\n" is not
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    lines = text.split("\n")
+    if not lines[-1]:
+        lines.pop()  # the break that ends the last line starts none
+    return lines
+
+
 def _vertex_rows(lines, first, count, ncols, cols):
-    """Vertex coordinates of lines[first:first + count], row by row.
+    """x, y, z of the vertex rows lines[first:first + count], from one np.loadtxt call.
 
-    Each row needs at least ncols tokens; cols picks x, y, z. Values are
-    parsed at float32, the declared property type.
+    Each row holds exactly ncols values in C number syntax; cols picks x, y,
+    z. Values go through float64 to float32, the declared property type. If
+    the call fails, the rows are only searched for the first bad one.
     """
-    pts = np.empty((count, 3))
-    with np.errstate(over="ignore"):
-        for i in range(count):
-            ln = first + 1 + i
-            tokens = lines[ln - 1].split()
-            if len(tokens) < ncols:
-                raise ParseError("vertex row has too few columns", line=ln)
-            try:
-                for j, c in enumerate(cols):
-                    pts[i, j] = np.float32(tokens[c])
-            except ValueError:
-                raise ParseError("non-numeric vertex coordinate", line=ln) from None
-    return pts
-
-
-def _vertex_rows_fast(lines, first, count, ncols, cols):
-    """`_vertex_rows` in one np.loadtxt call, or None where it may differ.
-
-    Rows go through float64 to float32, as np.float32(token) does. Anything
-    loadtxt rejects or skips (ragged or blank rows) is left to the row loop,
-    which raises the ParseError with its line.
-    """
-    if count == 0 or not lines[first].split():
-        return None  # loadtxt would skip the blank row, and warn if all are
-    try:
-        table = np.loadtxt(islice(lines, first, first + count), comments=None, ndmin=2)
-    except ValueError:
-        return None
-    if table.shape[0] != count or table.shape[1] < ncols:
-        return None
-    with np.errstate(over="ignore"):
-        table[:] = table.astype(np.float32)
-    return table[:, cols]
+    table = np.empty((0, ncols))
+    if count and lines[first].split():  # loadtxt skips blank rows, and warns when all are
+        try:
+            table = np.loadtxt(islice(lines, first, first + count), comments=None, ndmin=2)
+        except ValueError:
+            pass
+    if table.shape == (count, ncols):
+        with np.errstate(over="ignore"):
+            table[:] = table.astype(np.float32)
+        return table[:, cols]
+    for ln in range(first + 1, first + count + 1):
+        values = len(lines[ln - 1].split())
+        if values != ncols:
+            raise ParseError(f"vertex row has {values} values; the header declares {ncols}",
+                             line=ln)
+        try:
+            np.loadtxt([lines[ln - 1]], comments=None)
+        except ValueError:
+            raise ParseError("non-numeric vertex coordinate", line=ln) from None
+    raise AssertionError("np.loadtxt rejected vertex rows that it reads one by one")
 
 
 def parse_ply(data):
@@ -228,17 +227,19 @@ def parse_ply(data):
 
     The vertex element must carry float x, y, z properties and no list
     property; extra scalar properties and other elements are tolerated and
-    ignored. Raises ParseError with a line number on malformed headers, bad
-    coordinates, or count mismatches.
+    ignored. Lines end at \\n, \\r\\n and \\r only, element counts are
+    ASCII digits, and each vertex row holds exactly the declared number of
+    values in C number syntax. Raises ParseError with a line number on
+    malformed headers, bad coordinates, or count mismatches.
     """
     # No name holds the whole text: it is freed once split into lines.
     if isinstance(data, bytes):
         try:
-            lines = data.decode("ascii").splitlines()
+            lines = _lines(data.decode("ascii"))
         except UnicodeDecodeError as exc:
             raise ParseError(f"not an ASCII file: {exc}") from None
     else:
-        lines = data.splitlines()
+        lines = _lines(data)
     if not lines or lines[0].strip() != "ply":
         raise ParseError("missing 'ply' magic", line=1)
 
@@ -257,12 +258,13 @@ def parse_ply(data):
         elif tokens[0] == "element":
             if len(tokens) != 3:
                 raise ParseError("malformed element declaration", line=ln)
+            # ASCII digits: int() alone also reads "1_0", "+1" and other scripts' digits
             try:
-                count = int(tokens[2])
+                if not (tokens[2].isascii() and tokens[2].isdigit()):
+                    raise ValueError
+                count = int(tokens[2])  # a ValueError past int()'s digit limit too
             except ValueError:
                 raise ParseError(f"bad element count {tokens[2]!r}", line=ln) from None
-            if count < 0:
-                raise ParseError("negative element count", line=ln)
             elements.append((tokens[1], count))
             properties[tokens[1]] = []
         elif tokens[0] == "property":
@@ -305,9 +307,7 @@ def parse_ply(data):
                 line=len(lines))
         if name != "vertex":
             continue
-        pts = _vertex_rows_fast(lines, first, count, len(vprops), cols)
-        if pts is None:
-            pts = _vertex_rows(lines, first, count, len(vprops), cols)
+        pts = _vertex_rows(lines, first, count, len(vprops), cols)
         finite = np.isfinite(pts).all(axis=1)
         if not finite.all():
             bad = first + 1 + int(np.argmin(finite))

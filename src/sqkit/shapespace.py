@@ -137,31 +137,29 @@ def _stored_fps_orders():
     return {_floored(c): table[c.id] for c in default_grid().categories()}
 
 
-def template_points(category, n=512, dense_n=DENSE_SAMPLE_SIZE, seed=0):
+def template_points(category, n=512):
     """Unscaled template cloud for a category: dense sample + FPS downsample.
 
-    Samples the unit-scale superquadric with the category's exponents (floored
-    at EPS_MIN), then keeps the n farthest-point indices starting at index 0.
-    Deterministic per (category, n, dense_n, seed).
+    Samples DENSE_SAMPLE_SIZE points (seed 0) of the unit-scale superquadric
+    with the category's exponents (floored at EPS_MIN), then keeps the n
+    farthest-point indices starting at index 0. Deterministic per
+    (category, n); n is at most DENSE_SAMPLE_SIZE.
 
     When the floored exponents are a default-grid node (whatever grid the
-    category came from), seed is 0, dense_n is DENSE_SAMPLE_SIZE and n <= 512,
-    the indices are the first n of the order shipped beside this module, and
-    greedy FPS is skipped. That is exact, not an approximation: each greedy
-    pick depends only on the picks before it, so the first n picks of a longer
-    run are the n-pick run. Only those n points of the dense sample are then
-    computed, to the same bits. Every other request runs FPS.
+    category came from) and n <= 512, the indices are the first n of the
+    order shipped beside this module, and greedy FPS is skipped. That is
+    exact, not an approximation: each greedy pick depends only on the picks
+    before it, so the first n picks of a longer run are the n-pick run. Only
+    those n points of the dense sample are then computed, to the same bits.
+    Every other request runs FPS.
     """
-    dense_n = _integer(dense_n, "dense_n", 1)
-    n = _integer(n, "n", 1, dense_n)
-    seed = _integer(seed, "seed", 0)
+    n = _integer(n, "n", 1, DENSE_SAMPLE_SIZE)
     exponents = _floored(category)
     unit = Superquadric(*exponents, scale=np.ones(3))
-    if seed == 0 and dense_n == DENSE_SAMPLE_SIZE and n <= _STORED_PICKS:
-        order = _stored_fps_orders().get(exponents)
-        if order is not None:
-            return _surface_points(unit, dense_n, seed, order[:n])
-    dense = sample_surface(unit, dense_n, seed)
+    order = _stored_fps_orders().get(exponents) if n <= _STORED_PICKS else None
+    if order is not None:
+        return _surface_points(unit, DENSE_SAMPLE_SIZE, 0, order[:n])
+    dense = sample_surface(unit, DENSE_SAMPLE_SIZE, 0)
     return dense[farthest_point_sample(dense, n, start=0)]
 
 

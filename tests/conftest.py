@@ -7,12 +7,13 @@ structurally different code.
 
 import math
 import os
+import re
 from pathlib import Path
 
 import numpy as np
 from hypothesis import settings
 
-from sqkit import EPS_MIN, Superquadric
+from sqkit import EPS_MIN, Superquadric, farthest_point_sample, sample_surface
 from sqkit.core import EPS_MAX
 from sqkit.fitting import (_RMS_FLOOR_REL, _SCALE_BOUNDS, _huber_weights, _objective, _pack,
                            _residuals)
@@ -123,6 +124,14 @@ def fps_full_pass(points, k, start, margins=None):
                 d2[i] = best
             chosen.append(i)
     return chosen
+
+
+def template_from_dense(category, n, dense_n):
+    """A category's template drawn as `template_points` draws it, but FPS-sampled
+    from a dense sample of dense_n points (seed 0) instead of DENSE_SAMPLE_SIZE."""
+    unit = Superquadric(max(category.eps1, EPS_MIN), max(category.eps2, EPS_MIN), np.ones(3))
+    dense = sample_surface(unit, dense_n, 0)
+    return dense[farthest_point_sample(dense, n, start=0)]
 
 
 def apply_linear_oracle(M, pts):
@@ -336,6 +345,56 @@ def ply_body_oracle(points):
         rows.append(" ".join(np.format_float_positional(np.float32(v), unique=True, trim="-")
                              for v in p))
     return "".join(row + "\n" for row in rows).encode("ascii")
+
+
+_PLY_LINE_BREAK = re.compile(r"\r\n|\r|\n")
+# C's decimal strtod syntax, and inf, infinity and nan in any case, each with an optional sign.
+_C_NUMBER = re.compile(r"[+-]?(([0-9]+\.?[0-9]*|\.[0-9]+)([eE][+-]?[0-9]+)?|inf|infinity|nan)",
+                       re.IGNORECASE)
+
+
+def ply_oracle(text):
+    """The documented PLY rule applied on its own to a file of one vertex element
+    with scalar properties: ("points", shape, float64 bytes) or ("error", line).
+
+    Lines break at \\n, \\r\\n and \\r only. Header lines up to the first
+    `end_header` are format, comment, element and property lines, with one
+    element. Each of its rows holds exactly the declared number of
+    whitespace-separated tokens, each in C number syntax, read at float64 and
+    rounded to float32. Then every coordinate must be finite, and no line
+    after the rows may hold anything but whitespace. The error is on the
+    first line that breaks a rule, in that order; a file that ends before its
+    rows errs on its last line.
+    """
+    lines = _PLY_LINE_BREAK.split(text)
+    if lines[-1] == "":
+        lines.pop()
+    end = lines.index("end_header")
+    header = [line.split() for line in lines[1:end]]
+    for ln, tokens in enumerate(header, start=2):
+        if tokens[0] not in ("format", "comment", "element", "property"):
+            return ("error", ln)
+    counts = [int(tokens[2]) for tokens in header if tokens[0] == "element"]
+    if len(counts) != 1:
+        return ("error", end + 1)
+    names = [tokens[-1] for tokens in header if tokens[0] == "property"]
+    if end + 1 + counts[0] > len(lines):
+        return ("error", len(lines))
+    rows = []
+    for ln in range(end + 2, end + 2 + counts[0]):
+        tokens = lines[ln - 1].split()
+        if len(tokens) != len(names) or not all(_C_NUMBER.fullmatch(t) for t in tokens):
+            return ("error", ln)
+        rows.append([float(tokens[names.index(axis)]) for axis in "xyz"])
+    with np.errstate(over="ignore"):
+        pts = np.array(rows, dtype=np.float32).astype(float).reshape(-1, 3)
+    for ln, point in enumerate(pts, start=end + 2):
+        if not np.isfinite(point).all():
+            return ("error", ln)
+    for ln in range(end + 2 + counts[0], len(lines) + 1):
+        if lines[ln - 1].split():
+            return ("error", ln)
+    return ("points", pts.shape, pts.tobytes())
 
 
 def _affine_coord(pose, x, y, z):

@@ -15,7 +15,7 @@ import pytest
 import sqkit as sk
 from sqkit.rotations import quat_to_matrix, random_quaternion
 from conftest import (fold_gap, fold_partners, fps_oracle, mssd_oracle,
-                      relabel_candidates)
+                      relabel_candidates, template_from_dense)
 
 SQRT2_HALF = np.sqrt(2.0) / 2.0
 
@@ -186,7 +186,7 @@ def test_criterion_07_metric_invariants():
         sq = sk.Superquadric(rng.uniform(0.1, 1.0), eps2, scale)
         group = sk.symmetry_group(sq)
         grid = sk.default_grid()
-        template = sk.template_points(grid.category(
+        template = template_from_dense(grid.category(
             sk.categorize(sq.eps1, sq.eps2, grid)), n=64, dense_n=1024)
         shear = rng.uniform(-0.002, 0.002, 3) if kind == 0 else np.zeros(3)
         M, t = sk.compose_affine(quat_to_matrix(random_quaternion(rng)),

@@ -31,12 +31,8 @@ ENTRY_POINTS = {
                                 6, 41),
     "farthest_point_sample.start": ("start", lambda v: sk.farthest_point_sample(CLOUD, 6, start=v),
                                     7, 40),
-    "template_points.n": ("n", lambda v: sk.template_points(CATEGORY, n=v, dense_n=64, seed=1),
-                          6, 65),
-    "template_points.dense_n": ("dense_n", lambda v: sk.template_points(CATEGORY, n=6, dense_n=v),
-                                64, 0),
-    "template_points.seed": ("seed", lambda v: sk.template_points(CATEGORY, n=6, dense_n=64,
-                                                                  seed=v), 2, -1),
+    "template_points.n": ("n", lambda v: sk.template_points(CATEGORY, n=v), 6,
+                          sk.shapespace.DENSE_SAMPLE_SIZE + 1),
     "initial_guesses.k": ("k", lambda v: sk.initial_guesses(CLOUD, v, seed=2), 11, 0),
     "initial_guesses.seed": ("seed", lambda v: sk.initial_guesses(CLOUD, 11, seed=v), 4, -1),
     "FitConfig.max_iterations": ("max_iterations", lambda v: sk.FitConfig(max_iterations=v),

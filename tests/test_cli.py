@@ -1,15 +1,22 @@
 """Command-line interface: subcommands, file flows, exit codes."""
 
+import contextlib
+import io
 import json
 import subprocess
 import sys
+import tempfile
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sqkit as sk
 from conftest import fps_full_pass
+from test_fileio import PLY_REPROS
 from sqkit import fitting
 from sqkit.cli import main
 
@@ -227,6 +234,16 @@ class TestFit:
         assert main(["fit", "--input", str(bad), "--output", str(tmp_path / "o.json")]) == 2
         assert "line 4" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("name", sorted(PLY_REPROS))
+    def test_malformed_row_or_count_exits_2_on_its_line(self, tmp_path, capsys, name):
+        text, line, message = PLY_REPROS[name]
+        bad = tmp_path / "bad.ply"
+        bad.write_bytes(text.encode("ascii"))
+        out = tmp_path / "o.json"
+        assert main(["fit", "--input", str(bad), "--output", str(out)]) == 2
+        assert f"--input {bad}: line {line}: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_under_determined_cloud_exits_3(self, tmp_path):
         small = _write_ply(tmp_path, "small.ply",
                            [[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1]])
@@ -265,6 +282,105 @@ class TestFit:
         rec = sk.parse_params(out.read_bytes())
         assert rec.category_id is not None
         np.testing.assert_allclose(rec.scale, 0.05, rtol=0.01)
+
+
+def _ply_base(shape, n):
+    """A valid PLY file of n noisy surface points, as header lines and rows of tokens."""
+    cloud = sk.gen_synthetic(shape, sk.GenConfig(n_points=n, noise_sigma=0.001, seed=n))
+    lines = sk.write_ply(cloud).decode("ascii").splitlines()
+    end = lines.index("end_header")
+    return lines[:end], [row.split() for row in lines[end + 1:]]
+
+
+# Clouds of a few dozen points, so that each fit stays short.
+_PLY_BASES = (_ply_base(sk.Superquadric(1.0, 1.0, np.full(3, 0.05)), 24),
+              _ply_base(sk.Superquadric(0.4, 0.7, np.array([0.03, 0.05, 0.08])), 40))
+_KEYWORDS = ["elemnt", "Element", "PROPERTY", "obj_info", "ply", "end_header", "format"]
+_COUNTS = ["0", "1", "-1", "1_0", "0x10", "+24", "4e1", "99999999999999999999", "٤٠", "{n-1}",
+           "{n+1}"]
+_BAD_TOKENS = ["x", "1_0", "0x10", "nan(1)", "1e", "--1", "1,5", "#", "١", "ｘ"]
+_LARGE_TOKENS = ["1e39", "-3.5e38", "3.4028235e38", "3.4028236e38", "inf", "-Infinity", "NaN",
+                 "1e-50", "1e308"]
+
+
+@st.composite
+def _ply_files(draw):
+    """A valid PLY file with some of the edits a hand-made or foreign file has,
+    each made in about one file of four."""
+    def sometimes():
+        return draw(st.integers(0, 3)) == 3  # shrinks to no edit
+
+    header, rows = draw(st.sampled_from(_PLY_BASES))
+    header, rows = list(header), [list(row) for row in rows]
+    n = len(rows)
+    if sometimes():  # an extra vertex property, scalar or list, with or without values
+        k = draw(st.integers(0, 3))
+        scalar = draw(st.booleans())
+        header.insert(4 + k, "property uchar red" if scalar else "property list uchar int idx")
+        if draw(st.booleans()):
+            for row in rows:
+                row[k:k] = ["255"] if scalar else ["2", "5", "6"]
+    if sometimes():  # a face element after the vertices
+        header += ["element face 1", "property list uchar int vertex_indices"]
+        rows.append(["3", "0", "1", "2"])
+    while sometimes():  # ragged, non-numeric and out-of-range values
+        row = rows[draw(st.integers(0, n - 1))]
+        edit = draw(st.sampled_from(["drop", "append", "bad", "large"]))
+        if edit == "drop":
+            del row[-1:]
+        elif edit == "append" or not row:
+            row.append("0")
+        else:
+            row[draw(st.integers(0, len(row) - 1))] = draw(
+                st.sampled_from(_BAD_TOKENS if edit == "bad" else _LARGE_TOKENS))
+    if sometimes():
+        count = draw(st.sampled_from(_COUNTS)).format(**{"n-1": n - 1, "n+1": n + 1})
+        header[3] = f"element vertex {count}"
+    header.append("end_header")
+    if sometimes():  # a header keyword misspelled, dropped or repeated
+        i = draw(st.integers(1, len(header) - 1))
+        edit = draw(st.sampled_from(["rename", "drop", "repeat"]))
+        if edit == "rename":
+            header[i] = " ".join([draw(st.sampled_from(_KEYWORDS))] + header[i].split()[1:])
+        elif edit == "drop":
+            del header[i]
+        else:
+            header.insert(i, header[i])
+    newline = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    data = "".join(line + newline for line in header + [" ".join(row) for row in rows])
+    data = data.encode("utf-8")
+    if sometimes():  # a non-ASCII byte anywhere
+        pos = draw(st.integers(0, len(data)))
+        byte = draw(st.sampled_from([b"\xff", b"\xc3\xa9", b"\x80", b"\xa0"]))
+        data = data[:pos] + byte + data[pos:]
+    return data
+
+
+class TestPlyInputFuzz:
+    """`fit --input` on edited PLY files: main returns 0-3, exits 2 exactly when
+    `parse_ply` refuses the file, writes only a record `parse_params` accepts,
+    and writes nothing when it fails."""
+
+    @settings(max_examples=120)
+    @given(_ply_files())
+    def test_exit_codes_and_outputs(self, data):
+        try:
+            sk.parse_ply(data)
+            parses = True
+        except sk.ParseError:
+            parses = False
+        with tempfile.TemporaryDirectory() as folder:
+            cloud, out = Path(folder, "c.ply"), Path(folder, "fit.json")
+            cloud.write_bytes(data)
+            sink = io.StringIO()
+            with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+                code = main(["fit", "--input", str(cloud), "--output", str(out)])
+            assert code in (0, 2, 3), sink.getvalue()
+            assert (code == 2) is not parses, sink.getvalue()
+            if code == 0:
+                sk.parse_params(out.read_bytes())
+            else:
+                assert not out.exists()
 
 
 class TestCanon:

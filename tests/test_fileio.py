@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 import sqkit as sk
 from sqkit import fileio
 from sqkit.rotations import quat_to_matrix
-from conftest import ply_body_oracle, random_superquadric
+from conftest import ply_body_oracle, ply_oracle, random_superquadric
 
 
 class TestWritePly:
@@ -204,10 +204,6 @@ class TestPlyProperties:
         assert sk.write_ply(back) == first
 
 
-def _loop_only(monkeypatch):
-    monkeypatch.setattr(fileio, "_vertex_rows_fast", lambda *args: None)
-
-
 class TestPlyErrors:
     def test_bare_property_line(self):
         text = ("ply\nformat ascii 1.0\nelement vertex 1\nproperty\n"
@@ -231,17 +227,107 @@ class TestPlyErrors:
                 + "1 2 3\n0 0 0\n0 1 0\n3 0 1 2\n")
         npt.assert_array_equal(sk.parse_ply(text), [[1, 2, 3], [0, 0, 0], [0, 1, 0]])
 
-    @pytest.mark.parametrize("row_loop", [False, True], ids=["fast", "row_loop"])
     @pytest.mark.parametrize("token", ["nan", "inf", "-inf", "1e39"])
-    def test_non_finite_reported_on_its_row_without_warning(self, monkeypatch, token, row_loop):
-        if row_loop:
-            _loop_only(monkeypatch)
+    def test_non_finite_reported_on_its_row_without_warning(self, token):
         text = HEADER.format(n=4) + f"0 0 0\n1 1 1\n2 {token} 2\n3 3 3\n"
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(sk.ParseError, match="non-finite") as err:
                 sk.parse_ply(text)
         assert err.value.line == 10
+
+
+# Malformed files that a laxer rule read without complaint:
+# name -> (file, line of the error, its message).
+PLY_REPROS = {
+    # a stray space split ".04227" off "6"; the fourth value used to be dropped
+    "stray_space": (HEADER.format(n=1) + "-13.210486 6 .04227 10.490012\n", 8,
+                    "vertex row has 4 values; the header declares 3"),
+    # Python's float syntax read this as 15
+    "digit_separator": (HEADER.format(n=1) + "1_5 2 3\n", 8, "non-numeric vertex coordinate"),
+    "extra_value_on_every_row": (HEADER.format(n=2) + "0 0 0 0\n1 1 1 1\n", 8,
+                                 "vertex row has 4 values; the header declares 3"),
+    # a form feed is not a line break, so this is one row, and the second is missing
+    "form_feed_in_row": (HEADER.format(n=2) + "0 0 0\f1 1 1\n", 8,
+                         "element 'vertex' declares 2 rows but file ends early"),
+    "count_with_digit_separator": (HEADER.format(n="1_0") + "0 0 0\n" * 10, 3,
+                                   "bad element count '1_0'"),
+}
+
+
+class TestPlyRowRule:
+    """Each vertex row holds exactly the declared values in C number syntax, lines
+    break only at \\n, \\r\\n and \\r, and element counts are ASCII digits."""
+
+    @pytest.mark.parametrize("name", sorted(PLY_REPROS))
+    def test_repro_is_a_parse_error_on_its_line(self, name):
+        text, line, message = PLY_REPROS[name]
+        for data in (text, text.encode("ascii")):
+            with pytest.raises(sk.ParseError) as err:
+                sk.parse_ply(data)
+            assert err.value.line == line
+            assert str(err.value) == f"line {line}: {message}"
+
+    @pytest.mark.parametrize("body, line, values", [
+        ("0 0 0\n1 2\n2 2 2\n", 9, 2),
+        ("0 0 0\n1 2 3 4\n2 2 2\n", 9, 4),
+        ("0 0 0\n1 2 3 0x10\n2 2 2\n", 9, 4),
+        ("0 0 0\n\n2 2 2\n", 9, 0),
+        ("\n1 1 1\n2 2 2\n", 8, 0),  # np.loadtxt would skip a blank row
+        ("\n \n\t\n", 8, 0),  # and warn on a block of blank rows
+    ])
+    def test_wrong_value_count_named_without_warning(self, body, line, values):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(sk.ParseError) as err:
+                sk.parse_ply(HEADER.format(n=3) + body)
+        assert str(err.value) == (f"line {line}: vertex row has {values} values; "
+                                  "the header declares 3")
+
+    def test_empty_vertex_element(self):
+        assert sk.parse_ply(HEADER.format(n=0)).shape == (0, 3)
+
+    @pytest.mark.parametrize("token", ["0x10", "1d5", "1e", "nan(1)", "infinit", "١", "1\x002"])
+    def test_non_c_number_rejected(self, token):
+        text = HEADER.format(n=2) + f"0 0 0\n1 {token} 1\n"
+        with pytest.raises(sk.ParseError, match="^line 9: non-numeric vertex coordinate$"):
+            sk.parse_ply(text)
+
+    @pytest.mark.parametrize("row, expected", [
+        ("+.5 5. 1.e1", [0.5, 5.0, 10.0]),
+        ("-0 1e-3 +2E+2", [-0.0, 0.001, 200.0]),
+        ("1\x0b2\x1f3\xa0", [1.0, 2.0, 3.0]),  # whitespace inside a row, as str.split() has it
+    ])
+    def test_c_numbers_and_whitespace_accepted(self, row, expected):
+        pts = sk.parse_ply(HEADER.format(n=1) + row + "\n")
+        assert pts.tobytes() == np.array([expected], np.float32).astype(float).tobytes()
+
+    @pytest.mark.parametrize("count", ["1_0", "+2", "٢", "0x2", "2.0", "-1"])
+    def test_element_count_must_be_ascii_digits(self, count):
+        text = HEADER.format(n=count) + "0 0 0\n1 1 1\n"
+        with pytest.raises(sk.ParseError) as err:
+            sk.parse_ply(text)
+        assert str(err.value) == f"line 3: bad element count {count!r}"
+
+    @pytest.mark.parametrize("newline", ["\r\n", "\r"])
+    def test_crlf_and_cr_files_parse(self, newline):
+        text = (HEADER.format(n=2) + "0 0 0\n1 2 3\n").replace("\n", newline)
+        for data in (text, text.encode("ascii")):
+            assert sk.parse_ply(data).tolist() == [[0, 0, 0], [1, 2, 3]]
+
+    @pytest.mark.parametrize("char", ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85",
+                                      "\u2028", "\u2029"])
+    def test_other_breaks_do_not_end_a_line(self, char):
+        # in a comment they are text; str.splitlines would make the comment's
+        # tail a header line of its own
+        text = HEADER.format(n=1).replace("end_header", f"comment a{char}b\nend_header")
+        pts = sk.parse_ply(text + "1 2 3\n")
+        assert pts.tolist() == [[1, 2, 3]]
+        # in a vertex block they join two rows, and error lines count \n only
+        text = HEADER.format(n=2) + f"0 0 0\n1 1 1{char}2 2 2\n"
+        with pytest.raises(sk.ParseError) as err:
+            sk.parse_ply(text)
+        assert err.value.line == 9
 
 
 _MUTATION_CHARS = list("0123456789.-+eE \t\n\rnaif_x#,") + ["\x0b", "\x0c", "\x1c", "\x1f", "\x00"]
@@ -270,12 +356,13 @@ def _outcome(text):
     try:
         pts = sk.parse_ply(text)
     except sk.ParseError as exc:
-        return ("error", str(exc), exc.line)
+        return ("error", exc.line)
     return ("points", pts.shape, pts.tobytes())
 
 
-class TestFastParse:
-    """The one-call vertex parse agrees with the row loop it falls back to."""
+class TestMutatedPly:
+    """`parse_ply` agrees with the rule applied on its own (`ply_oracle`) on
+    valid files with one random edit each."""
 
     def _files(self, rng):
         for n in (1, 2, 5, 17):
@@ -288,26 +375,15 @@ class TestFastParse:
                    "property float x\nproperty float y\nproperty float z\n"
                    "property uchar red\nend_header\n%s" % (n, rows))
 
-    def test_matches_row_loop_on_mutated_files(self, monkeypatch):
+    def test_matches_oracle(self):
         rng = np.random.default_rng(9)
-        used_fast = []
-        fast = fileio._vertex_rows_fast
-
-        def recording(*args):
-            pts = fast(*args)
-            used_fast.append(pts is not None)
-            return pts
-
-        monkeypatch.setattr(fileio, "_vertex_rows_fast", recording)
         cases = [_mutate(text, rng) for text in self._files(rng) for _ in range(150)]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             results = [_outcome(text) for text in cases]
-        _loop_only(monkeypatch)
         for text, result in zip(cases, results):
-            assert result == _outcome(text), repr(text)
-        # both paths were taken
-        assert any(used_fast) and not all(used_fast)
+            assert result == ply_oracle(text), repr(text)
+        assert {result[0] for result in results} == {"points", "error"}
 
 
 class TestParamsRecord:

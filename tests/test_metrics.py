@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import sqkit as sk
 from sqkit.rotations import quat_to_matrix, random_quaternion
-from conftest import mspd_oracle, mssd_oracle
+from conftest import mspd_oracle, mssd_oracle, template_from_dense
 
 K = sk.CameraIntrinsics(fx=500.0, fy=500.0, cx=320.0, cy=240.0)
 IDENTITY = sk.SymmetryGroup(np.eye(3)[None])
@@ -75,7 +75,7 @@ class TestMssd:
     def test_symmetry_absorbed(self):
         sq = sk.Superquadric(0.5, 0.5, np.array([0.04, 0.04, 0.09]))
         group = sk.symmetry_group(sq)
-        tpl = sk.template_points(sk.ShapeCategory(0, 0.5, 0.5), n=128, dense_n=1024)
+        tpl = template_from_dense(sk.ShapeCategory(0, 0.5, 0.5), n=128, dense_n=1024)
         gt = _pose(sq.rotation_matrix @ np.diag(sq.scale), [0.1, 0.0, 0.4])
         for S in sk.expand_symmetries(group):
             est = sk.PoseHypothesis(gt.matrix @ S, gt.translation)
@@ -153,7 +153,7 @@ class TestMspd:
     def test_symmetry_absorbed(self):
         sq = sk.Superquadric(0.5, 0.5, np.array([0.04, 0.04, 0.09]))
         group = sk.symmetry_group(sq)
-        tpl = sk.template_points(sk.ShapeCategory(0, 0.5, 0.5), n=128, dense_n=1024)
+        tpl = template_from_dense(sk.ShapeCategory(0, 0.5, 0.5), n=128, dense_n=1024)
         gt = _pose(sq.rotation_matrix @ np.diag(sq.scale), [0.0, 0.0, 0.8])
         for S in sk.expand_symmetries(group)[:8]:
             est = sk.PoseHypothesis(gt.matrix @ S, gt.translation)
@@ -206,7 +206,7 @@ class TestSymmetryProperties:
         group = sk.symmetry_group(sq)
         grid = sk.default_grid()
         category = grid.category(sk.categorize(sq.eps1, sq.eps2, grid))
-        tpl = sk.template_points(category, n=64, dense_n=1024)
+        tpl = template_from_dense(category, n=64, dense_n=1024)
         gt = _pose(quat_to_matrix(q) @ np.diag(sq.scale), t)
         for S in group.rotations:  # 1e-9 is criterion 07's bound
             est = sk.PoseHypothesis(gt.matrix @ S, gt.translation)

@@ -130,37 +130,38 @@ class TestCategorize:
 class TestTemplatePoints:
     def test_sphere_template_norms(self):
         cat = sk.ShapeCategory(0, 1.0, 1.0)
-        pts = sk.template_points(cat, n=256, dense_n=2048)
+        pts = sk.template_points(cat, n=256)
         npt.assert_allclose(np.linalg.norm(pts, axis=1), 1.0, atol=1e-6)
 
     def test_full_template_equals_dense_sample(self):
         cat = sk.ShapeCategory(0, 0.5, 0.5)
-        dense = sk.template_points(cat, n=512, dense_n=512)
-        assert dense.shape == (512, 3)
-        assert len(np.unique(dense, axis=0)) == 512
+        dense = sk.template_points(cat, n=shapespace.DENSE_SAMPLE_SIZE)
+        assert dense.shape == (shapespace.DENSE_SAMPLE_SIZE, 3)
+        assert len(np.unique(dense, axis=0)) == shapespace.DENSE_SAMPLE_SIZE
 
     def test_template_is_subset_of_dense_sample(self):
         cat = sk.ShapeCategory(0, 0.25, 0.75)
         unit = sk.Superquadric(0.25, 0.75, np.ones(3))
-        dense = sk.sample_surface(unit, 1024, seed=0)
-        tpl = sk.template_points(cat, n=64, dense_n=1024)
+        dense = sk.sample_surface(unit, shapespace.DENSE_SAMPLE_SIZE, seed=0)
+        tpl = sk.template_points(cat, n=64)
         rows = {tuple(r) for r in dense}
         assert all(tuple(p) in rows for p in tpl)
 
     def test_exponents_floored(self):
         cat = sk.ShapeCategory(0, 0.0, 0.0)
-        pts = sk.template_points(cat, n=64, dense_n=256)
+        pts = sk.template_points(cat, n=64)
         assert np.all(np.isfinite(pts))
 
     def test_deterministic(self):
         cat = sk.ShapeCategory(3, 0.5, 0.25)
-        a = sk.template_points(cat, n=128, dense_n=512, seed=4)
-        b = sk.template_points(cat, n=128, dense_n=512, seed=4)
+        # above the stored picks, so both run greedy FPS
+        a = sk.template_points(cat, n=513)
+        b = sk.template_points(cat, n=513)
         assert np.array_equal(a, b)
 
     def test_n_larger_than_dense_rejected(self):
         with pytest.raises(ValueError):
-            sk.template_points(sk.ShapeCategory(0, 0.5, 0.5), n=100, dense_n=50)
+            sk.template_points(sk.ShapeCategory(0, 0.5, 0.5), n=shapespace.DENSE_SAMPLE_SIZE + 1)
 
 
 NODE = sk.default_grid().category(13)  # (0.5, 0.75)
@@ -185,22 +186,19 @@ class TestStoredFpsOrder:
         assert json.loads(proc.stdout) == []
         assert path.read_bytes() == shapespace._FPS_ORDER_PATH.read_bytes()
 
-    @pytest.mark.parametrize("category, n, dense_n, seed, stored", [
-        (NODE, 513, 8192, 0, False),
-        (NODE, 512, 8192, 1, False),
-        (NODE, 512, 4096, 0, False),
-        (sk.ShapeCategory(13, 0.3, 0.6), 512, 8192, 0, False),
-        (sk.ShapeGrid((0.0, 0.5, 1.0), (0.0, 0.75)).category(3), 512, 8192, 0, True),
-        (sk.ShapeGrid((0.0, 0.5, 1.0), (0.0, 0.75)).category(1), 100, 8192, 0, True),
-    ], ids=["n_513", "seed_1", "dense_4096", "off_node", "custom_grid_node",
-            "custom_grid_floored_node"])
-    def test_matches_full_pass(self, category, n, dense_n, seed, stored):
+    @pytest.mark.parametrize("category, n, stored", [
+        (NODE, 513, False),
+        (sk.ShapeCategory(13, 0.3, 0.6), 512, False),
+        (sk.ShapeGrid((0.0, 0.5, 1.0), (0.0, 0.75)).category(3), 512, True),
+        (sk.ShapeGrid((0.0, 0.5, 1.0), (0.0, 0.75)).category(1), 100, True),
+    ], ids=["n_513", "off_node", "custom_grid_node", "custom_grid_floored_node"])
+    def test_matches_full_pass(self, category, n, stored):
         unit = sk.Superquadric(max(category.eps1, sk.EPS_MIN), max(category.eps2, sk.EPS_MIN),
                                np.ones(3))
-        dense = sk.sample_surface(unit, dense_n, seed)
+        dense = sk.sample_surface(unit, shapespace.DENSE_SAMPLE_SIZE, 0)
         with mock.patch.object(shapespace, "farthest_point_sample",
                                wraps=sk.farthest_point_sample) as fps:
-            got = sk.template_points(category, n=n, dense_n=dense_n, seed=seed)
+            got = sk.template_points(category, n=n)
         assert fps.called != stored
         npt.assert_array_equal(got, dense[fps_full_pass(dense, n, 0)])
 
@@ -235,7 +233,7 @@ class TestStoredTemplates:
         with mock.patch.object(shapespace, "DENSE_SAMPLE_SIZE", 1000), \
                 mock.patch.object(shapespace, "_stored_fps_orders",
                                   lambda: {(cat.eps1, cat.eps2): order}):
-            got = sk.template_points(cat, n=64, dense_n=1000)
+            got = sk.template_points(cat, n=64)
         assert got.tobytes() == sk.sample_surface(unit, 1000, 0)[order].tobytes()
 
 
