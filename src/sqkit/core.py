@@ -26,6 +26,7 @@ EPS_MAX = 2.0
 _QUAT_NORM_TOL = 1e-9
 
 _FLOAT_MIN = np.finfo(float).min
+_FLOAT_MAX = float(np.finfo(float).max)
 
 # Points per block in farthest_point_sample's sorted layout.
 _FPS_BLOCK = 128
@@ -45,14 +46,37 @@ def _integer(value, name, low, high=math.inf):
     return k
 
 
+def _real(value, name, low=-_FLOAT_MAX, high=_FLOAT_MAX, open_low=False):
+    """`value`, a real (Python or numpy, not bool) in [low, high], as a Python float.
+
+    With `open_low` the range is (low, high]; `high` is finite, as is `low` unless `open_low`.
+    Anything else, "0.5", True, NaN and inf included, raises a ValueError naming `name`.
+    """
+    if type(value) is not float:
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            raise ValueError(f"{name} must be a real number, got {value!r}")
+        try:
+            value = float(value)
+        except OverflowError:
+            value = math.inf if value > 0 else -math.inf
+    if low < value <= high if open_low else low <= value <= high:
+        return value
+    bound = (f"lie in {'(' if open_low else '['}{low}, {high}]" if high < _FLOAT_MAX
+             else f"be finite and {'>' if open_low else '>='} {low}" if low > -_FLOAT_MAX
+             else "be finite")
+    raise ValueError(f"{name} must {bound}, got {value}")
+
+
 def _frozen(value, shape, message, ok=math.isfinite):
     """A read-only float copy of `value`, of the given shape, with `ok` true at every entry.
 
-    Anything else raises ValueError(message). `ok` runs on Python floats,
-    faster than numpy on a few entries; a NaN fails every comparison.
+    Entries must be integers or floats, else ValueError(message); `ok` runs on Python
+    floats, faster than numpy on a few entries, and a NaN fails every comparison.
     """
-    arr = np.array(value, dtype=float)
-    if arr.shape != shape or not all(map(ok, arr.ravel().tolist())):
+    arr = np.array(value)
+    if arr.dtype.kind in "iuf":
+        arr = arr.astype(float, copy=False)
+    if arr.dtype != float or arr.shape != shape or not all(map(ok, arr.ravel().tolist())):
         raise ValueError(message)
     arr.setflags(write=False)
     return arr
@@ -96,8 +120,8 @@ class Superquadric:
     translation: np.ndarray = field(default_factory=lambda: np.zeros(3))
 
     def __post_init__(self):
-        object.__setattr__(self, "eps1", float(self.eps1))
-        object.__setattr__(self, "eps2", float(self.eps2))
+        for name in ("eps1", "eps2"):
+            object.__setattr__(self, name, _real(getattr(self, name), name, EPS_MIN, EPS_MAX))
         scale = _frozen(self.scale, (3,), "scale must be three finite positive lengths",
                         lambda v: 0.0 < v < math.inf)
         rot = _frozen(self.rotation, (4,), "rotation must be a finite quaternion (w, x, y, z)")
@@ -106,9 +130,6 @@ class Superquadric:
         if abs(math.sqrt(rot.dot(rot)) - 1.0) > _QUAT_NORM_TOL:
             raise ValueError("rotation quaternion must have unit norm")
         trans = _frozen(self.translation, (3,), "translation must be a finite 3-vector")
-        for name, e in (("eps1", self.eps1), ("eps2", self.eps2)):
-            if not EPS_MIN <= e <= EPS_MAX:
-                raise ValueError(f"{name} must lie in [{EPS_MIN}, {EPS_MAX}], got {e}")
         object.__setattr__(self, "scale", scale)
         object.__setattr__(self, "rotation", rot)
         object.__setattr__(self, "translation", trans)

@@ -7,6 +7,7 @@ round-trip decimals (at most 9 significant digits), matching the PLY
 `property float` type, so write -> parse -> write is byte-stable.
 """
 
+import contextlib
 import json
 from dataclasses import dataclass
 from itertools import islice
@@ -15,7 +16,7 @@ from typing import Optional
 import numpy as np
 
 from .canonical import compose_affine
-from .core import Superquadric, _integer, as_points, sample_surface
+from .core import Superquadric, _frozen, _integer, _real, as_points, sample_surface
 from .metrics import CameraIntrinsics, PoseHypothesis
 from .rotations import quat_canonical, quat_from_euler_xyz, quat_normalize, quat_to_matrix
 
@@ -225,19 +226,22 @@ def _vertex_rows(lines, first, count, ncols, cols):
 def parse_ply(data):
     """Parse an ASCII PLY cloud from bytes or text.
 
-    The vertex element must carry float x, y, z properties and no list
-    property; extra scalar properties and other elements are tolerated and
-    ignored. Lines end at \\n, \\r\\n and \\r only, element counts are
-    ASCII digits, and each vertex row holds exactly the declared number of
-    values in C number syntax. Raises ParseError with a line number on
-    malformed headers, bad coordinates, or count mismatches.
+    Bytes must be ASCII; text is read as given. The vertex element must carry
+    float x, y, z properties and no list property; extra scalar properties
+    and other elements are tolerated and ignored. Lines end at \\n, \\r\\n
+    and \\r only, element counts are ASCII digits, and each vertex row holds
+    exactly the declared number of values in C number syntax. Raises
+    ParseError with a line number on malformed headers, non-ASCII bytes, bad
+    coordinates, or count mismatches.
     """
     # No name holds the whole text: it is freed once split into lines.
     if isinstance(data, bytes):
         try:
             lines = _lines(data.decode("ascii"))
         except UnicodeDecodeError as exc:
-            raise ParseError(f"not an ASCII file: {exc}") from None
+            # the bad byte's line: the text before it, with one character in its place
+            line = len(_lines(data[:exc.start].decode("ascii") + "?"))
+            raise ParseError(f"non-ASCII byte 0x{data[exc.start]:02x}", line=line) from None
     else:
         lines = _lines(data)
     if not lines or lines[0].strip() != "ply":
@@ -334,11 +338,6 @@ def _load_json(data):
         raise ParseError("invalid JSON: nested too deeply") from None
 
 
-def _is_number(value):
-    # bool is an int subclass, but JSON true/false are not numbers
-    return type(value) in (int, float)
-
-
 @dataclass(frozen=True, eq=False)
 class ParamsRecord:
     """Serializable superquadric parameters plus optional shear and category."""
@@ -371,10 +370,11 @@ class ParamsRecord:
 def record_from_superquadric(sq, shear=None, category_id=None):
     return ParamsRecord(
         eps=(sq.eps1, sq.eps2),
-        scale=tuple(float(v) for v in sq.scale),
-        rotation=tuple(float(v) for v in quat_canonical(sq.rotation)),
-        translation=tuple(float(v) for v in sq.translation),
-        shear=None if shear is None else tuple(float(v) for v in shear),
+        scale=tuple(sq.scale.tolist()),
+        rotation=tuple(quat_canonical(sq.rotation).tolist()),
+        translation=tuple(sq.translation.tolist()),
+        shear=None if shear is None else tuple(
+            _frozen(shear, (3,), "shear must be a finite 3-vector").tolist()),
         category_id=None if category_id is None else _integer(category_id, "category_id", 0),
     )
 
@@ -392,7 +392,7 @@ def write_params(record):
         payload["shear"] = list(record.shear)
     if record.category_id is not None:
         payload["category_id"] = record.category_id
-    return (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode("ascii")
+    return (json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n").encode("ascii")
 
 
 def parse_params(data):
@@ -415,13 +415,10 @@ def parse_params(data):
                 raise ParseError(f"missing field {name!r}")
             return None
         val = payload[name]
-        if (not isinstance(val, (list, tuple)) or len(val) != size
-                or not all(_is_number(v) for v in val)):
-            raise ParseError(f"field {name!r} must be a {size}-vector of numbers")
-        try:
-            return tuple(float(v) for v in val)
-        except OverflowError:
-            raise ParseError(f"field {name!r} holds a number beyond float range") from None
+        if isinstance(val, list) and len(val) == size:
+            with contextlib.suppress(ValueError):
+                return tuple(_real(v, name) for v in val)
+        raise ParseError(f"field {name!r} must be a {size}-vector of finite numbers")
 
     eps = vector("eps", 2)
     scale = vector("scale", 3)
@@ -461,14 +458,10 @@ def parse_intrinsics(data):
     """Parse a JSON camera-intrinsics record with numeric fx, fy, cx, cy."""
     payload = _load_json(data)
     try:
-        values = [payload[name] for name in ("fx", "fy", "cx", "cy")]
+        return CameraIntrinsics(*(payload[name] for name in ("fx", "fy", "cx", "cy")))
     except (KeyError, TypeError):
         raise ParseError("expected fx, fy, cx, cy") from None
-    if not all(_is_number(v) for v in values):
-        raise ParseError("fx, fy, cx, cy must be numbers")
-    try:
-        return CameraIntrinsics(*values)
-    except (ValueError, OverflowError) as exc:
+    except ValueError as exc:
         raise ParseError(str(exc)) from None
 
 
@@ -488,10 +481,9 @@ class GenConfig:
     def __post_init__(self):
         for name, low in (("n_points", 1), ("seed", 0)):
             object.__setattr__(self, name, _integer(getattr(self, name), name, low))
-        if not 0 <= self.noise_sigma < np.inf:
-            raise ValueError("noise_sigma must be finite and >= 0")
-        if not 0.0 < self.visible_fraction <= 1.0:
-            raise ValueError("visible_fraction must lie in (0, 1]")
+        object.__setattr__(self, "noise_sigma", _real(self.noise_sigma, "noise_sigma", 0))
+        object.__setattr__(self, "visible_fraction",
+                           _real(self.visible_fraction, "visible_fraction", 0, 1, open_low=True))
         if self._kept() < 1:
             raise ValueError("keeps no point: round(visible_fraction * n_points) is 0")
 

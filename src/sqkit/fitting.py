@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import (EPS_MIN, EPS_MAX, Superquadric, _integer, _linear_rows, _local_rows,
-                   _radial_residual, as_points)
+                   _radial_residual, _real, as_points)
 from .rotations import matrix_to_quat, quat_mul, quat_normalize, quat_to_matrix
 
 
@@ -84,10 +84,8 @@ class FitConfig:
     def __post_init__(self):
         for name, low in (("max_iterations", 1), ("multistart", 1), ("seed", 0)):
             object.__setattr__(self, name, _integer(getattr(self, name), name, low))
-        if not self.convergence_tol > 0:
-            raise ValueError("convergence_tol must be positive")
-        if not 0 <= self.noise_scale < np.inf:
-            raise ValueError("noise_scale must be finite and >= 0")
+        for name, open_low in (("convergence_tol", True), ("noise_scale", False)):
+            object.__setattr__(self, name, _real(getattr(self, name), name, 0, open_low=open_low))
 
 
 @dataclass(frozen=True, eq=False)

@@ -13,7 +13,7 @@ from functools import partial
 
 import numpy as np
 
-from .core import _frozen, _linear_rows, _posed_rows, as_points
+from .core import _frozen, _linear_rows, _posed_rows, _real, as_points
 from .shapespace import expand_symmetries
 
 # Template points times symmetries per broadcast block: each coordinate row of
@@ -50,13 +50,8 @@ class CameraIntrinsics:
     cy: float
 
     def __post_init__(self):
-        for name in ("fx", "fy", "cx", "cy"):
-            v = float(getattr(self, name))
-            if not math.isfinite(v):
-                raise ValueError(f"{name} must be finite")
-            object.__setattr__(self, name, v)
-        if self.fx <= 0 or self.fy <= 0:
-            raise ValueError("focal lengths must be positive")
+        for name, low in (("fx", 0), ("fy", 0), ("cx", -math.inf), ("cy", -math.inf)):
+            object.__setattr__(self, name, _real(getattr(self, name), name, low, open_low=True))
 
     @property
     def matrix(self):

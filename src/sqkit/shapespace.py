@@ -11,14 +11,13 @@ cross-sections make z a revolution axis. Each group is stored as data: one
 """
 
 import functools
-import math
 import pathlib
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (EPS_MIN, Superquadric, _integer, _surface_points, farthest_point_sample,
-                   sample_surface)
+from .core import (EPS_MIN, Superquadric, _integer, _real, _surface_points,
+                   farthest_point_sample, sample_surface)
 from .rotations import is_rotation_matrix, rotation_about_z
 
 # Size of the dense surface sample a template is farthest-point-sampled from;
@@ -66,11 +65,9 @@ class ShapeGrid:
 
     def __post_init__(self):
         for name in ("eps1_values", "eps2_values"):
-            vals = tuple(float(v) for v in getattr(self, name))
+            vals = tuple(_real(v, name, 0, 1) for v in getattr(self, name))
             if len(vals) < 2:
                 raise ValueError(f"{name} needs at least 2 values")
-            if any(not 0.0 <= v <= 1.0 for v in vals):
-                raise ValueError(f"{name} must lie within [0, 1]")
             if any(b <= a for a, b in zip(vals, vals[1:])):
                 raise ValueError(f"{name} must be strictly ascending")
             object.__setattr__(self, name, vals)
@@ -105,9 +102,7 @@ def categorize(eps1, eps2, grid):
 
     eps2 must already be canonical (<= 1); raw duals are rejected.
     """
-    eps1, eps2 = float(eps1), float(eps2)
-    if not (0.0 <= eps1 <= 2.0 and 0.0 <= eps2 <= 2.0):
-        raise ValueError("exponents must lie in [0, 2]")
+    eps1, eps2 = _real(eps1, "eps1", 0, 2), _real(eps2, "eps2", 0, 2)
     if eps2 > 1.0:
         raise ValueError("eps2 > 1 is not canonical; canonicalize before categorizing")
     # Squared distances on Python floats, summed in row-major id order; the
@@ -200,8 +195,7 @@ def symmetry_group(sq, rel_tol=1e-3):
     be finite and >= 0. The groups are built once, so every call returns one
     of three shared, read-only instances.
     """
-    if not 0.0 <= rel_tol < math.inf:
-        raise ValueError(f"rel_tol must be finite and >= 0, got {rel_tol}")
+    rel_tol = _real(rel_tol, "rel_tol", 0)
     if sq.eps2 > 1.0:
         raise ValueError("symmetry requires a canonical shape (eps2 <= 1)")
     ax, ay, _ = sq.scale

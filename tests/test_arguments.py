@@ -1,11 +1,19 @@
-"""Counts, sizes, indices and seeds follow one integer rule at every entry point.
+"""Counts, sizes, indices and seeds follow one integer rule at every entry point,
+and real-valued arguments one real rule.
 
-Each must be a Python or numpy integer, not a bool, within its range. Anything
-else, an integral float such as 3.0 included, raises a ValueError that names
-the argument instead of being truncated by int(). A numpy integer gives the
-same result, bit for bit, as the Python int of the same value.
+A count must be a Python or numpy integer, not a bool, within its range.
+Anything else, an integral float such as 3.0 included, raises a ValueError that
+names the argument instead of being truncated by int(). A numpy integer gives
+the same result, bit for bit, as the Python int of the same value.
+
+A real must be a Python or numpy real, not a bool, finite and within its range.
+Anything else, the string "0.5", None and an integer beyond float range
+included, raises a ValueError that names the argument instead of being cast by
+float(). A numpy float or an int gives the same result, bit for bit, as the
+Python float of the same value.
 """
 
+import math
 import re
 
 import numpy as np
@@ -18,9 +26,10 @@ CLOUD = sk.sample_surface(SHAPE, 40, seed=1)
 CATEGORY = sk.default_grid().category(7)
 
 
-def _gen(n_points=30, seed=3):
-    cfg = sk.GenConfig(n_points=n_points, noise_sigma=0.01, visible_fraction=0.5, seed=seed)
-    return sk.gen_synthetic(SHAPE, cfg)
+def _gen(n_points=30, seed=3, noise_sigma=0.01, visible_fraction=0.5):
+    cfg = sk.GenConfig(n_points=n_points, noise_sigma=noise_sigma,
+                       visible_fraction=visible_fraction, seed=seed)
+    return [repr(cfg), sk.gen_synthetic(SHAPE, cfg)]
 
 
 # (argument, call with the argument set to v, a valid value, an out-of-range int)
@@ -52,7 +61,7 @@ def _bits(result):
     if isinstance(result, list):
         return [_bits(item) for item in result]
     if isinstance(result, sk.Superquadric):
-        return _bits([np.array([result.eps1, result.eps2]), result.scale, result.rotation,
+        return _bits([(result.eps1, result.eps2), result.scale, result.rotation,
                       result.translation])
     return repr(result)
 
@@ -70,3 +79,47 @@ def test_rejects_everything_but_an_integer_in_range(entry, value):
 def test_numpy_integers_give_the_same_bits(entry, numpy_type):
     _, call, valid, _ = ENTRY_POINTS[entry]
     assert _bits(call(numpy_type(valid))) == _bits(call(valid))
+
+
+# (argument, call with the argument set to v, a valid integral value, an out-of-range value)
+REAL_ARGUMENTS = {
+    "Superquadric.eps1": ("eps1", lambda v: sk.Superquadric(v, 0.7, SHAPE.scale), 1, 2.5),
+    "Superquadric.eps2": ("eps2", lambda v: sk.Superquadric(0.5, v, SHAPE.scale), 2, 0.0),
+    "FitConfig.convergence_tol": ("convergence_tol",
+                                  lambda v: sk.FitConfig(convergence_tol=v), 1, 0.0),
+    "FitConfig.noise_scale": ("noise_scale", lambda v: sk.FitConfig(noise_scale=v), 1, -1e-3),
+    "GenConfig.noise_sigma": ("noise_sigma", lambda v: _gen(noise_sigma=v), 1, -1e-3),
+    "GenConfig.visible_fraction": ("visible_fraction",
+                                   lambda v: _gen(visible_fraction=v), 1, 0.0),
+    "CameraIntrinsics.fx": ("fx", lambda v: sk.CameraIntrinsics(v, 480, 320, 240), 500, 0.0),
+    "CameraIntrinsics.fy": ("fy", lambda v: sk.CameraIntrinsics(500, v, 320, 240), 480, -1.0),
+    # no finite principal point is out of range
+    "CameraIntrinsics.cx": ("cx", lambda v: sk.CameraIntrinsics(500, 480, v, 240), 320,
+                            -math.inf),
+    "CameraIntrinsics.cy": ("cy", lambda v: sk.CameraIntrinsics(500, 480, 320, v), -240,
+                            -math.inf),
+    "ShapeGrid.eps1_values": ("eps1_values", lambda v: sk.ShapeGrid((0.0, v), (0.0, 1.0)),
+                              1, 1.5),
+    "ShapeGrid.eps2_values": ("eps2_values", lambda v: sk.ShapeGrid((0.0, 1.0), (v, 1.0)),
+                              0, -0.5),
+    "categorize.eps1": ("eps1", lambda v: sk.categorize(v, 0.3, sk.default_grid()), 1, -0.1),
+    "categorize.eps2": ("eps2", lambda v: sk.categorize(0.6, v, sk.default_grid()), 1, 2.5),
+    "symmetry_group.rel_tol": ("rel_tol", lambda v: sk.symmetry_group(SHAPE, v), 1, -1e-3),
+}
+
+
+@pytest.mark.parametrize("entry", REAL_ARGUMENTS)
+@pytest.mark.parametrize("value", [True, "0.5", None, math.nan, math.inf, 10**400,
+                                   "out_of_range"])
+def test_rejects_everything_but_a_finite_real_in_range(entry, value):
+    name, call, _, out_of_range = REAL_ARGUMENTS[entry]
+    # "lie in" for a range bounded on both sides, as in "eps1 must lie in [0.01, 2.0]"
+    with pytest.raises(ValueError, match=rf"^{re.escape(name)} must (be|lie in) "):
+        call(out_of_range if value == "out_of_range" else value)
+
+
+@pytest.mark.parametrize("entry", REAL_ARGUMENTS)
+@pytest.mark.parametrize("other_type", [np.float64, np.float32, int, np.int64])
+def test_numpy_floats_and_ints_give_the_same_bits(entry, other_type):
+    _, call, valid, _ = REAL_ARGUMENTS[entry]
+    assert _bits(call(other_type(valid))) == _bits(call(float(valid)))

@@ -67,6 +67,27 @@ class TestSuperquadric:
         with pytest.raises(ValueError, match=message):
             sk.Superquadric(**fields)
 
+    @pytest.mark.parametrize("field, value", [
+        ("scale", ["1", "2", "3"]),
+        ("scale", np.array([True, True, True])),
+        ("rotation", np.array([1.0, 0.0, 0.0, 0.0], dtype=object)),
+        ("rotation", [1.0 + 0j, 0.0, 0.0, 0.0]),
+        ("translation", [10 ** 400, 0, 0]),
+    ])
+    def test_rejects_arrays_of_anything_but_numbers(self, field, value):
+        # np.array(value, dtype=float) cast these, or raised OverflowError or TypeError
+        fields = dict(eps1=1.0, eps2=1.0, scale=np.ones(3))
+        fields[field] = value
+        with pytest.raises(ValueError, match=f"^{field} must be "):
+            sk.Superquadric(**fields)
+
+    def test_integer_arrays_become_float_copies(self):
+        scale = np.array([1, 2, 3], dtype=np.uint8)
+        sq = sk.Superquadric(1, 1, scale, translation=[0, -1, 2])
+        assert sq.scale.dtype == float and sq.scale.tolist() == [1.0, 2.0, 3.0]
+        assert sq.translation.tolist() == [0.0, -1.0, 2.0]
+        assert not np.shares_memory(sq.scale, scale) and scale.flags.writeable
+
     def test_quaternion_norm_boundary_follows_linalg_norm(self):
         # The unit-norm test keeps np.linalg.norm's bits at its 1e-9 boundary.
         rng = np.random.default_rng(12)

@@ -41,9 +41,10 @@ def test_cli_builds_no_pose_of_its_own():
     assert not imported & {"compose_affine", "PoseHypothesis"}
 
 
-def _int_casts_of_arguments(path):
-    """(function, line) of each int(p) or int(p.field) on a parameter p of the function."""
-    for func in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+def _casts_of_arguments(source, cast):
+    """(function, line) of each cast(p), cast(p.field) or cast(getattr(p, ...)) on a
+    parameter p of the function, self included, where cast is "int" or "float"."""
+    for func in ast.walk(ast.parse(source)):
         if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
             continue
         a = func.args
@@ -51,22 +52,46 @@ def _int_casts_of_arguments(path):
                   if arg is not None}
         for node in ast.walk(func):
             if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
-                    and node.func.id == "int" and len(node.args) == 1):
+                    and node.func.id == cast and len(node.args) == 1):
                 arg = node.args[0]
-                if isinstance(arg, ast.Attribute):
+                if (isinstance(arg, ast.Call) and isinstance(arg.func, ast.Name)
+                        and arg.func.id == "getattr" and arg.args):
+                    arg = arg.args[0]
+                elif isinstance(arg, ast.Attribute):
                     arg = arg.value
                 if isinstance(arg, ast.Name) and arg.id in params:
                     yield getattr(func, "name", "<lambda>"), node.lineno
 
 
+def _source_casts(cast, rule):
+    """Casts of arguments in src/, outside `rule`, which casts once it has checked."""
+    sources = sorted((ROOT / "src" / "sqkit").glob("*.py"))
+    assert sources
+    return [f"{path.name}:{line} in {func}" for path in sources
+            for func, line in _casts_of_arguments(path.read_text(), cast) if func != rule]
+
+
 def test_sources_check_integer_arguments_instead_of_truncating_them():
     """int() on an argument silently truncates 2.7 to 2 and accepts True as 1;
     counts, sizes, indices and seeds go through core._integer instead."""
-    sources = sorted((ROOT / "src" / "sqkit").glob("*.py"))
-    assert sources
-    casts = [f"{path.name}:{line} in {func}"
-             for path in sources for func, line in _int_casts_of_arguments(path)]
+    casts = _source_casts("int", "_integer")
     assert not casts, "int() on an argument: " + ", ".join(casts)
+
+
+def test_sources_check_real_arguments_instead_of_casting_them():
+    """float() on an argument accepts "0.5" and True and raises OverflowError
+    past float range; real-valued arguments go through core._real instead."""
+    casts = _source_casts("float", "_real")
+    assert not casts, "float() on an argument: " + ", ".join(casts)
+
+
+def test_cast_scan_finds_each_form():
+    source = ("class A:\n"
+              "    def f(self, a, b):\n"
+              "        return float(a), float(self.x), float(getattr(self, 'y')), float(b[0])\n"
+              "g = lambda c, d: int(c.z) + int(d) + int(e)\n")
+    assert list(_casts_of_arguments(source, "float")) == [("f", 3)] * 3
+    assert list(_casts_of_arguments(source, "int")) == [("<lambda>", 4)] * 2
 
 
 def test_project_declares_only_numpy():

@@ -236,6 +236,20 @@ class TestPlyErrors:
                 sk.parse_ply(text)
         assert err.value.line == 10
 
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+    def test_non_ascii_byte_named_on_its_line(self, newline):
+        in_comment = HEADER.format(n=1).replace("element", "comment café\nelement") + "1 2 3\n"
+        in_row = HEADER.format(n=2) + "0 0 0\n1 é 1\n"
+        for text, line in ((in_comment, 3), (in_row, 9)):
+            text = text.replace("\n", newline)
+            with pytest.raises(sk.ParseError) as err:
+                sk.parse_ply(text.encode("utf-8"))
+            assert str(err.value) == f"line {line}: non-ASCII byte 0xc3"
+        # text is read as given: a comment is any text, a row holds C numbers
+        assert sk.parse_ply(in_comment.replace("\n", newline)).tolist() == [[1, 2, 3]]
+        with pytest.raises(sk.ParseError, match="^line 9: non-numeric vertex coordinate$"):
+            sk.parse_ply(in_row.replace("\n", newline))
+
 
 # Malformed files that a laxer rule read without complaint:
 # name -> (file, line of the error, its message).
@@ -511,6 +525,36 @@ class TestParamsRecord:
                 ' "rotation": [1, 0, 0, 0], "translation": [0, 0, 0]}' % ("0" * 400))
         with pytest.raises(sk.ParseError):
             sk.parse_params(text)
+
+    @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+    @pytest.mark.parametrize("field", ["eps", "scale", "rotation", "euler_xyz", "translation",
+                                       "shear"])
+    def test_non_finite_numbers_rejected(self, field, token):
+        payload = {"schema_version": 1, "eps": [0.5, 0.5], "scale": [1, 1, 1],
+                   "translation": [0, 0, 0], "shear": [0, 0, 0]}
+        payload["euler_xyz" if field == "euler_xyz" else "rotation"] = (
+            [0, 0, 0] if field == "euler_xyz" else [1, 0, 0, 0])
+        payload[field] = [float(token)] + payload[field][1:]
+        text = json.dumps(payload)
+        assert token in text
+        size = len(payload[field])
+        with pytest.raises(sk.ParseError,
+                           match=f"^field '{field}' must be a {size}-vector of finite numbers$"):
+            sk.parse_params(text)
+
+    @pytest.mark.parametrize("shear", [(np.nan, 0.0, 0.0), (0.0, np.inf, 0.0), (0.0, 0.0),
+                                       ("0.1", 0.0, 0.0), (True, False, False)])
+    def test_record_shear_must_be_a_finite_3_vector(self, shear):
+        sq = random_superquadric(np.random.default_rng(4))
+        with pytest.raises(ValueError, match="^shear must be a finite 3-vector$"):
+            sk.record_from_superquadric(sq, shear=shear)
+
+    def test_write_params_refuses_a_non_finite_number(self):
+        # a record built field by field skips every check; its JSON would not parse
+        rec = sk.ParamsRecord(eps=(1.0, 1.0), scale=(0.05, 0.06, 0.07), rotation=(1.0, 0, 0, 0),
+                              translation=(0.0, 0.0, 0.0), shear=(np.nan, 0.0, 0.0))
+        with pytest.raises(ValueError, match="JSON"):
+            sk.write_params(rec)
 
 
 class TestGenSynthetic:
