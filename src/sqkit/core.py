@@ -70,13 +70,18 @@ def _real(value, name, low=-_FLOAT_MAX, high=_FLOAT_MAX, open_low=False):
 def _frozen(value, shape, message, ok=math.isfinite):
     """A read-only float copy of `value`, of the given shape, with `ok` true at every entry.
 
-    Entries must be integers or floats, else ValueError(message); `ok` runs on Python
-    floats, faster than numpy on a few entries, and a NaN fails every comparison.
+    Entries must be integers or floats, not bools, else ValueError(message); `ok` runs on
+    Python floats, faster than numpy on a few entries, and a NaN fails every comparison.
+    numpy casts a bool that sits beside numbers in a sequence, so a value that is not
+    an array has its entries looked at as given.
     """
     arr = np.array(value)
     if arr.dtype.kind in "iuf":
         arr = arr.astype(float, copy=False)
-    if arr.dtype != float or arr.shape != shape or not all(map(ok, arr.ravel().tolist())):
+    if (arr.dtype != float or arr.shape != shape or not all(map(ok, arr.ravel().tolist()))
+            or not isinstance(value, np.ndarray)
+            and any(isinstance(v, bool) or getattr(v, "dtype", None) == bool
+                    for v in np.array(value, dtype=object).ravel().tolist())):
         raise ValueError(message)
     arr.setflags(write=False)
     return arr

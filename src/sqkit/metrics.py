@@ -98,15 +98,38 @@ def _min_max(est, gt, template, group, observe):
     32 KB however large the group. Squared differences are summed in row
     order, (d0*d0 + d1*d1) + d2*d2, and the square root is taken last: it is
     monotonic, so that changes no bit.
+
+    A group of signed x/y permutations that keep z
+    (`SymmetryGroup._xy_permutations`) that fits one block is posed in one
+    pass: est.matrix and the stack gt.matrix @ S go through one
+    `_posed_rows` call. That is bit-exact. M @ S only swaps and negates
+    columns of M, exactly. Row j of the one-pass pose sums
+    x*(MS)[j,0] + y*(MS)[j,1], the same two products as
+    (Sx)[0]*M[j,0] + (Sx)[1]*M[j,1], at most in swapped order, which float
+    addition does not see; the z product comes last in both. Only the sign
+    of a zero can differ, and a zero is squared or fails z > 0 either way.
+    A permutation that moves z regroups the sum and changes bits, so every
+    other group, and one past one block, is posed in two passes, S @ x and
+    then gt's pose of that, in the oracle's order.
     """
     rows = np.ascontiguousarray(as_points(template).T)
-    seen = observe(*_posed_rows(est.matrix, est.translation, *rows))
     rotations = expand_symmetries(group)
+    m = len(rotations)
     k = max(1, _BLOCK_POINTS // rows.shape[1])
+    if group._xy_permutations and m <= k:
+        # est's pose is element 0 of the stack.
+        translations = np.repeat(gt.translation[:, None, None], m + 1, axis=1)
+        translations[:, 0, 0] = est.translation
+        posed = observe(*_posed_rows(np.concatenate([est.matrix[None], gt.matrix @ rotations]),
+                                     translations, *rows))
+        seen, blocks = [row[0] for row in posed], [[row[1:] for row in posed]]
+    else:
+        seen = observe(*_posed_rows(est.matrix, est.translation, *rows))
+        blocks = (observe(*_posed_rows(gt.matrix, gt.translation,
+                                       *_linear_rows(rotations[i:i + k], *rows)))
+                  for i in range(0, m, k))
     best = np.inf
-    for i in range(0, len(rotations), k):
-        sym = _linear_rows(rotations[i:i + k], *rows)
-        diffs = observe(*_posed_rows(gt.matrix, gt.translation, *sym))
+    for diffs in blocks:
         for e, d in zip(seen, diffs):
             np.subtract(e, d, out=d)
             d *= d

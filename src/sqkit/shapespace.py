@@ -165,6 +165,9 @@ class SymmetryGroup:
     Attributes:
         rotations: read-only (m, 3, 3) stack of proper rotation matrices;
             the groups built here list the identity first.
+
+    `_xy_permutations` is derived once from the stack: every entry is
+    exactly 0 or +-1 and |S[2, 2]| = 1 (see `metrics._min_max` for its use).
     """
 
     rotations: np.ndarray
@@ -176,6 +179,8 @@ class SymmetryGroup:
                              "proper rotation matrices")
         R.setflags(write=False)
         object.__setattr__(self, "rotations", R)
+        object.__setattr__(self, "_xy_permutations", bool(
+            np.all((R == 0.0) | (np.abs(R) == 1.0)) and np.all(np.abs(R[:, 2, 2]) == 1.0)))
 
 
 # The three groups symmetry_group returns, built and validated once.

@@ -11,6 +11,9 @@ Anything else, the string "0.5", None and an integer beyond float range
 included, raises a ValueError that names the argument instead of being cast by
 float(). A numpy float or an int gives the same result, bit for bit, as the
 Python float of the same value.
+
+A fixed-shape array (a scale, a quaternion, a pose) holds no Python or numpy
+bool at any position, also where numpy would cast one that sits beside numbers.
 """
 
 import math
@@ -123,3 +126,21 @@ def test_rejects_everything_but_a_finite_real_in_range(entry, value):
 def test_numpy_floats_and_ints_give_the_same_bits(entry, other_type):
     _, call, valid, _ = REAL_ARGUMENTS[entry]
     assert _bits(call(other_type(valid))) == _bits(call(float(valid)))
+
+
+# numpy promotes each of these sequences to float64, the bool to 1.0 or 0.0.
+BOOLS_BESIDE_NUMBERS = {
+    "Superquadric.scale": ("scale", lambda: sk.Superquadric(1, 1, [1.0, True, 1.0])),
+    "Superquadric.scale numpy": ("scale", lambda: sk.Superquadric(1, 1, [1.0, np.True_, 1.0])),
+    "PoseHypothesis.translation": ("pose translation",
+                                   lambda: sk.PoseHypothesis(np.eye(3), [0, False, 1.0])),
+    "Superquadric.rotation": ("rotation", lambda: sk.Superquadric(1, 1, np.ones(3),
+                                                                  rotation=(1.0, False, 0, 0))),
+}
+
+
+@pytest.mark.parametrize("entry", BOOLS_BESIDE_NUMBERS)
+def test_rejects_a_bool_beside_numbers(entry):
+    name, call = BOOLS_BESIDE_NUMBERS[entry]
+    with pytest.raises(ValueError, match=rf"^{re.escape(name)} must be "):
+        call()

@@ -259,17 +259,57 @@ def _past_one_block():
     return _METRIC_GROUPS[3], tpl, _sheared_pose(rng), _sheared_pose(rng)
 
 
+def _axis_aligned(group, n, seed):
+    """A dyadic template with exact zeros, points on the axes among them, scored
+    between a diagonal pose and a quarter turn about z with axis scales."""
+    rng = np.random.default_rng(seed)
+    tpl = rng.choice([-0.5, -0.25, -0.0, 0.0, 0.25, 0.5], size=(n, 3))
+    tpl[:4] = [[0.5, 0.0, 0.0], [0.0, -0.25, 0.0], [0.0, 0.0, 0.5], [0.0, -0.0, 0.0]]
+    diagonal = _pose(np.diag([0.125, 0.25, 0.0625]), (0.0, 0.0, 0.75))
+    turned = _pose(np.array([[0.0, -0.25, 0.0], [0.125, 0.0, 0.0], [0.0, 0.0, 0.5]]),
+                   (0.0, -0.0, 0.5))
+    return (group, tpl, diagonal, turned) if seed % 2 else (group, tpl, turned, diagonal)
+
+
+# x -> y -> z -> x: a signed axis permutation that moves z.
+_AXIS_CYCLE = np.array([[0.0, 0.0, 1.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+_CYCLE_GROUP = sk.SymmetryGroup(np.array([np.eye(3), _AXIS_CYCLE, _AXIS_CYCLE @ _AXIS_CYCLE]))
+
+
 class TestOracleProperties:
     """MSSD and MSPD equal the scalar double-loop oracles, bit for bit."""
 
+    # The order-4 and order-8 groups take the one-pass path (`_min_max`)
+    # when they fit one block. Sums of zero products can take either sign of
+    # zero there, so the examples put exact zeros in the template and the
+    # poses, within one block and one point past it, where the two-pass path
+    # takes over.
     @settings(max_examples=40)
     @given(_metric_cases())
     @example(_past_one_block())
+    @example(_axis_aligned(_METRIC_GROUPS[0], 64, 1))
+    @example(_axis_aligned(_METRIC_GROUPS[1], 64, 2))
+    @example(_axis_aligned(_METRIC_GROUPS[0], sk.metrics._BLOCK_POINTS // 4 + 1, 3))
+    @example(_axis_aligned(_METRIC_GROUPS[1], sk.metrics._BLOCK_POINTS // 8 + 1, 4))
     def test_metrics_equal_oracles(self, case):
         group, tpl, est, gt = case
         assert sk.mssd(est, gt, tpl, group) == mssd_oracle(est, gt, tpl, group.rotations)
         assert (sk.mspd(est, gt, tpl, group, _K_BENCH)
                 == mspd_oracle(est, gt, tpl, group.rotations, _K_BENCH))
+
+    # Composing a permutation that moves z into gt's matrix regroups each
+    # row's sum: at seed 30 that changes the bits of both metrics.
+    @settings(max_examples=20)
+    @given(st.integers(0, 2**32 - 1))
+    @example(30)
+    def test_axis_cycle_group_equals_oracles(self, seed):
+        rng = np.random.default_rng(seed)
+        tpl = rng.uniform(-1.0, 1.0, (16, 3))
+        est, gt = _sheared_pose(rng), _sheared_pose(rng)
+        rotations = _CYCLE_GROUP.rotations
+        assert sk.mssd(est, gt, tpl, _CYCLE_GROUP) == mssd_oracle(est, gt, tpl, rotations)
+        assert (sk.mspd(est, gt, tpl, _CYCLE_GROUP, _K_BENCH)
+                == mspd_oracle(est, gt, tpl, rotations, _K_BENCH))
 
 
 class TestAccuracyCurve:

@@ -286,6 +286,20 @@ class TestSymmetryGroup:
         with pytest.raises(ValueError):
             group.rotations[0, 0, 0] = 2.0
 
+    def test_signed_xy_permutations_are_derived_from_the_stack(self):
+        # The metrics' one-pass path is exact only for signed permutations that keep z.
+        cycle = np.array([[0.0, 0.0, 1.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+        near_flip = rotation_about_z(1e-12) @ np.diag([1.0, -1.0, -1.0])
+        for rotations, expected in ((np.eye(3)[None], True),
+                                    (np.array([np.eye(3), np.diag([-1.0, -1.0, 1.0])]), True),
+                                    (np.array([np.eye(3), cycle]), False),
+                                    (np.array([np.eye(3), near_flip]), False)):
+            assert sk.SymmetryGroup(rotations)._xy_permutations is expected
+        for scale, eps2, expected in (([1.0, 2.0, 3.0], 0.7, True), ([1.0, 1.0, 3.0], 0.7, True),
+                                      ([1.0, 1.0, 3.0], 1.0, False)):
+            group = sk.symmetry_group(sk.Superquadric(0.4, eps2, np.array(scale)))
+            assert group._xy_permutations is expected
+
     def test_repeated_calls_give_the_closed_forms(self):
         flips = np.array([np.diag(d) for d in ((1, 1, 1), (1, -1, -1), (-1, 1, -1), (-1, -1, 1))],
                          dtype=float)
