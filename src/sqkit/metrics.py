@@ -88,6 +88,34 @@ def project(intrinsics, points):
     return uv[0] if single else uv
 
 
+# The one-pass path's last posed stack, (key, rows), kept for one reuse; see `_min_max`.
+_slot = None
+
+
+def _one_pass_rows(est, gt, rows, rotations):
+    """Read-only x, y, z rows of the stack [est.matrix, gt.matrix @ S...] posing `rows`.
+
+    A call whose key equals the slot's takes its rows and empties it; any
+    other call poses the stack and leaves it in the slot.
+    """
+    global _slot
+    key = (est.matrix.tobytes(), est.translation.tobytes(), gt.matrix.tobytes(),
+           gt.translation.tobytes(), rotations.tobytes(), rows.shape, rows.tobytes())
+    slot = _slot
+    if slot is not None and slot[0] == key:
+        _slot = None
+        return slot[1]
+    # est's pose is element 0 of the stack.
+    translations = np.repeat(gt.translation[:, None, None], len(rotations) + 1, axis=1)
+    translations[:, 0, 0] = est.translation
+    posed = tuple(_posed_rows(np.concatenate([est.matrix[None], gt.matrix @ rotations]),
+                              translations, *rows))
+    for row in posed:
+        row.setflags(write=False)
+    _slot = key, posed
+    return posed
+
+
 def _min_max(est, gt, template, group, observe):
     """min over symmetries S of max over points x of |observe(est(x)) - observe(gt(S x))|.
 
@@ -111,17 +139,25 @@ def _min_max(est, gt, template, group, observe):
     A permutation that moves z regroups the sum and changes bits, so every
     other group, and one past one block, is posed in two passes, S @ x and
     then gt's pose of that, in the oracle's order.
+
+    The one-pass stack, at most one block (about 100 KB), is kept in the
+    module's slot with its input, so `mssd` and `mspd` on one input pose
+    it once, whichever runs first. The key is content: the bytes of both
+    poses' matrix and translation, of the group's stack, and the shape and
+    bytes of the template's (3, n) rows, so neither an array changed in
+    place nor an object at a reused address can hit. A hit empties the
+    slot, so a stack serves one reuse. The stack is read-only, so its
+    difference is taken out of place, and `observe`, with `mspd`'s z > 0
+    check, runs on every call. Threads can only lose a reuse: a stack is
+    never written and is served only for its own key. The two-pass path
+    keeps nothing.
     """
     rows = np.ascontiguousarray(as_points(template).T)
     rotations = expand_symmetries(group)
     m = len(rotations)
     k = max(1, _BLOCK_POINTS // rows.shape[1])
     if group._xy_permutations and m <= k:
-        # est's pose is element 0 of the stack.
-        translations = np.repeat(gt.translation[:, None, None], m + 1, axis=1)
-        translations[:, 0, 0] = est.translation
-        posed = observe(*_posed_rows(np.concatenate([est.matrix[None], gt.matrix @ rotations]),
-                                     translations, *rows))
+        posed = observe(*_one_pass_rows(est, gt, rows, rotations))
         seen, blocks = [row[0] for row in posed], [[row[1:] for row in posed]]
     else:
         seen = observe(*_posed_rows(est.matrix, est.translation, *rows))
@@ -129,9 +165,11 @@ def _min_max(est, gt, template, group, observe):
                                        *_linear_rows(rotations[i:i + k], *rows)))
                   for i in range(0, m, k))
     best = np.inf
-    for diffs in blocks:
-        for e, d in zip(seen, diffs):
-            np.subtract(e, d, out=d)
+    for block in blocks:
+        # The slot's rows are read-only; their difference is a new array.
+        diffs = [np.subtract(e, d, out=d if d.flags.writeable else None)
+                 for e, d in zip(seen, block)]
+        for d in diffs:
             d *= d
         total = diffs[0]
         for d in diffs[1:]:
@@ -144,7 +182,9 @@ def mssd(est, gt, template, group):
     """Maximum symmetry-aware surface distance between two poses, in meters.
 
     min over symmetries S of max over template points x of
-    ||est(x) - gt(S x)||.
+    ||est(x) - gt(S x)||. With `mspd` on the same input, the template is
+    posed once where `_min_max` poses it in one pass (the order-4 and
+    order-8 groups, up to 1,024 and 512 template points).
     """
     return _min_max(est, gt, template, group, lambda x, y, z: (x, y, z))
 
@@ -153,7 +193,10 @@ def mspd(est, gt, template, group, intrinsics):
     """Maximum symmetry-aware projection distance between two poses, in pixels.
 
     Same min-max as mssd but measured between pinhole projections; every
-    transformed template point must land in front of the camera.
+    transformed template point must land in front of the camera. With
+    `mssd` on the same input, the template is posed once where `_min_max`
+    poses it in one pass (the order-4 and order-8 groups, up to 1,024 and
+    512 template points).
     """
     return _min_max(est, gt, template, group, partial(_project_rows, intrinsics))
 
@@ -161,7 +204,8 @@ def mspd(est, gt, template, group, intrinsics):
 def accuracy_curve(errors, thresholds):
     """Fraction of errors at or below each threshold.
 
-    `thresholds` must be ascending; the result is non-decreasing in [0, 1].
+    `thresholds` must be ascending, and neither errors nor thresholds may
+    be NaN; the result is non-decreasing in [0, 1].
     """
     errors = np.asarray(errors, dtype=float)
     if errors.ndim != 1 or errors.size == 0:
@@ -169,7 +213,10 @@ def accuracy_curve(errors, thresholds):
     thr = np.asarray(thresholds, dtype=float)
     if thr.ndim != 1 or thr.size == 0:
         raise ValueError("thresholds must be a nonempty 1-D sequence")
-    # NaN compares false both ways, so it would pass the ascending test.
+    # NaN compares false both ways: as an error it would count as a miss, as
+    # a threshold it would pass the ascending test. +inf compares correctly.
+    if np.isnan(errors).any():
+        raise ValueError("errors must not be NaN")
     if np.isnan(thr).any():
         raise ValueError("thresholds must not be NaN")
     if np.any(np.diff(thr) < 0):

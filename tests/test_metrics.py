@@ -1,5 +1,8 @@
 """Pose metrics: pinhole projection, MSSD/MSPD, accuracy curves."""
 
+import functools
+import sys
+import threading
 from unittest import mock
 
 import numpy as np
@@ -312,6 +315,154 @@ class TestOracleProperties:
                 == mspd_oracle(est, gt, tpl, rotations, _K_BENCH))
 
 
+# Inputs of the slot tests (`_min_max` keeps the one-pass stack for one
+# reuse). Poses 2 and 3 swap the translations of poses 0 and 1, and pose 4
+# is an equal-valued copy of pose 0.
+_reuse_rng = np.random.default_rng(25)
+_REUSE_POSES = (_sheared_pose(_reuse_rng), _sheared_pose(_reuse_rng))
+_REUSE_POSES += (sk.PoseHypothesis(_REUSE_POSES[0].matrix, _REUSE_POSES[1].translation),
+                 sk.PoseHypothesis(_REUSE_POSES[1].matrix, _REUSE_POSES[0].translation),
+                 sk.PoseHypothesis(_REUSE_POSES[0].matrix.copy(),
+                                   _REUSE_POSES[0].translation.copy()))
+# Template 0 has one point, template 2 is an equal-valued copy of template 1,
+# and each example adds template 3, a copy of template 1 that it negates in
+# place. Template 4 is one point past one block of the current group.
+_REUSE_TEMPLATES = (_reuse_rng.uniform(-1.0, 1.0, (1, 3)), _reuse_rng.uniform(-1.0, 1.0, (64, 3)))
+_REUSE_TEMPLATES += (_REUSE_TEMPLATES[1].copy(),)
+# `_METRIC_GROUPS` and the quarter turns about z: a group of signed x/y
+# permutations of the flips' order, so its stack has the flips' shape.
+_REUSE_GROUPS = _METRIC_GROUPS + (sk.SymmetryGroup(np.array(
+    [np.linalg.matrix_power(np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]]), i)
+     for i in range(4)])),)
+_PAST_BLOCK = {len(g.rotations): _reuse_rng.uniform(
+    -1.0, 1.0, (sk.metrics._BLOCK_POINTS // len(g.rotations) + 1, 3)) for g in _REUSE_GROUPS}
+# Each step calls one metric after changing at most one part of the input:
+# None keeps it, so the call can take the slot's stack; a change of one part
+# is the near miss that the slot's key must see.
+_reuse_steps = st.lists(st.tuples(
+    st.sampled_from(("mssd", "mspd")),
+    st.one_of(st.none(), st.just(("negate", None)),
+              st.tuples(st.sampled_from(("est", "gt")), st.integers(0, len(_REUSE_POSES) - 1)),
+              st.tuples(st.just("group"), st.integers(0, len(_REUSE_GROUPS) - 1)),
+              st.tuples(st.just("template"), st.integers(0, 4)))),
+    min_size=2, max_size=12)
+
+
+@functools.cache
+def _reuse_oracle(metric, est, gt, group, points):
+    """The oracle for pose indices, a group index and a template's bytes."""
+    args = (_REUSE_POSES[est], _REUSE_POSES[gt], np.frombuffer(points).reshape(-1, 3),
+            _REUSE_GROUPS[group].rotations)
+    return mssd_oracle(*args) if metric == "mssd" else mspd_oracle(*args, _K_BENCH)
+
+
+class TestPosedStackReuse:
+    """`mssd` and `mspd` on one input share one posed stack, never a stale one."""
+
+    # Starts at est 0, gt 1, the order-4 group and template 3. The examples:
+    # a plain reuse; the template negated in place between the two metrics;
+    # each pose swapped for an equal-valued copy, then in turn for one that
+    # differs only in its translation and one that differs only in its
+    # matrix; each group after another of one stack shape; a group past one
+    # block.
+    @settings(max_examples=60)
+    @given(_reuse_steps)
+    @example([("mssd", None), ("mspd", None)])
+    @example([("mssd", None), ("mspd", ("negate", None)), ("mssd", ("negate", None))])
+    @example([("mspd", None), ("mssd", ("est", 4)), ("mspd", ("gt", 0)), ("mssd", ("est", 1))])
+    @example([("mssd", None), ("mspd", ("est", 2)), ("mssd", ("est", 1)), ("mspd", ("gt", 3)),
+              ("mssd", ("gt", 0))])
+    @example([("mssd", None), ("mspd", ("group", 4)), ("mssd", ("group", 0)),
+              ("mspd", ("group", 1)), ("mssd", ("group", 4))])
+    @example([("mssd", ("template", 4)), ("mspd", ("group", 1)), ("mssd", ("group", 2)),
+              ("mspd", ("group", 3)), ("mssd", ("template", 0))])
+    def test_interleaved_calls_equal_oracles(self, steps):
+        templates = [*_REUSE_TEMPLATES, _REUSE_TEMPLATES[1].copy()]
+        state = {"est": 0, "gt": 1, "group": 0, "template": 3}
+        for metric, change in steps:
+            if change == ("negate", None):
+                np.negative(templates[3], out=templates[3])
+            elif change is not None:
+                state[change[0]] = change[1]
+            group = _REUSE_GROUPS[state["group"]]
+            tpl = (_PAST_BLOCK[len(group.rotations)] if state["template"] == 4
+                   else templates[state["template"]])
+            est, gt = _REUSE_POSES[state["est"]], _REUSE_POSES[state["gt"]]
+            got = (sk.mssd(est, gt, tpl, group) if metric == "mssd"
+                   else sk.mspd(est, gt, tpl, group, _K_BENCH))
+            assert got == _reuse_oracle(metric, state["est"], state["gt"], state["group"],
+                                        tpl.tobytes())
+
+    def test_both_metrics_pose_once(self):
+        est, gt = _REUSE_POSES[:2]
+        tpl = _REUSE_TEMPLATES[1]
+        for group in _METRIC_GROUPS[:2]:
+            with (mock.patch.object(sk.metrics, "_slot", None),
+                  mock.patch.object(sk.metrics, "_posed_rows",
+                                    wraps=sk.metrics._posed_rows) as posed):
+                sk.mssd(est, gt, tpl, group)
+                sk.mspd(est, gt, tpl, group, _K_BENCH)
+                sk.mspd(est, gt, tpl, group, _K_BENCH)
+                sk.mssd(est, gt, tpl, group)
+            assert posed.call_count == 2
+
+    def test_each_call_expands_the_group_once(self):
+        # perfbench counts a metric call's point evaluations from the
+        # `sqkit.metrics.expand_symmetries` span inside it.
+        est, gt = _REUSE_POSES[:2]
+        tpl = _REUSE_TEMPLATES[1]
+        with mock.patch.object(sk.metrics, "expand_symmetries",
+                               wraps=sk.metrics.expand_symmetries) as expand:
+            for i, group in enumerate(_METRIC_GROUPS * 2):
+                sk.mssd(est, gt, tpl, group)
+                assert expand.call_count == 2 * i + 1
+                sk.mspd(est, gt, tpl, group, _K_BENCH)
+                assert expand.call_count == 2 * i + 2
+
+    def test_threads_get_their_own_stacks(self):
+        # Four threads score four inputs of one group and template size, with
+        # a 1 µs switch interval, so the slot changes hands between calls. A
+        # served stack must always be the caller's own.
+        tpl, group = _REUSE_TEMPLATES[1], _METRIC_GROUPS[0]
+        inputs = [_REUSE_POSES[i:i + 2] for i in range(4)]
+        expected = [(mssd_oracle(est, gt, tpl, group.rotations),
+                     mspd_oracle(est, gt, tpl, group.rotations, _K_BENCH)) for est, gt in inputs]
+        wrong = []
+
+        def score(est, gt, want):
+            for _ in range(200):
+                got = (sk.mssd(est, gt, tpl, group), sk.mspd(est, gt, tpl, group, _K_BENCH))
+                if got != want:
+                    wrong.append(got)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=score, args=(*pair, want))
+                       for pair, want in zip(inputs, expected)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert wrong == []
+
+    def test_reused_stack_still_checked_behind_camera(self):
+        # The order-4 group's flip about x takes gt's point to z = -0.25: mssd
+        # scores it, and mspd, served from mssd's stack, still rejects it.
+        tpl = np.array([[0.0, 0.0, 0.5]])
+        group = _METRIC_GROUPS[0]
+        est, gt = _pose(t=(0.0, 0.0, 1.0)), _pose(t=(0.0, 0.0, 0.25))
+        with (mock.patch.object(sk.metrics, "_slot", None),
+              mock.patch.object(sk.metrics, "_posed_rows", wraps=sk.metrics._posed_rows) as posed):
+            assert sk.mssd(est, gt, tpl, group) == mssd_oracle(est, gt, tpl, group.rotations)
+            with pytest.raises(ValueError, match="behind camera"):
+                sk.mspd(est, gt, tpl, group, K)
+        assert posed.call_count == 1
+
+
 class TestAccuracyCurve:
     def test_all_zero_errors(self):
         npt.assert_array_equal(sk.accuracy_curve([0.0, 0.0], [0.1, 0.2]), [1.0, 1.0])
@@ -344,3 +495,11 @@ class TestAccuracyCurve:
         for thresholds in ([1.0, np.nan, 0.1], [np.nan], [np.nan, 1.0], [0.1, np.nan]):
             with pytest.raises(ValueError):
                 sk.accuracy_curve([0.5, 2.0], thresholds)
+
+    def test_nan_error_rejected(self):
+        # A NaN error would count as a miss: [nan, 0.1] at 0.5 read [0.5].
+        with pytest.raises(ValueError, match="errors must not be NaN"):
+            sk.accuracy_curve([np.nan, 0.1], [0.5])
+
+    def test_infinite_error_compares(self):
+        npt.assert_array_equal(sk.accuracy_curve([np.inf, 0.1], [0.5, np.inf]), [0.5, 1.0])
