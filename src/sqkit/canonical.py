@@ -128,10 +128,10 @@ def decompose_scale_shear(M):
     The polar factors come from the SVD M = W diag(s) V^T: R = W V^T and
     P = V diag(s) V^T (Higham 1986). Returns (R, scale, shear) where scale
     is the diagonal of P and shear the off-diagonal entries
-    (p_xy, p_xz, p_yz). Requires det(M) > 0.
+    (p_xy, p_xz, p_yz). Requires det(M) to have sign +1, at any magnitude.
     """
     M = _frozen(M, (3, 3), "M must be a finite 3x3 matrix")
-    if np.linalg.det(M) <= 0.0:
+    if not np.linalg.slogdet(M)[0] > 0:
         raise ValueError("M must have positive determinant")
     w, s, vh = np.linalg.svd(M)
     R = w @ vh

@@ -212,10 +212,7 @@ def _cmd_eval(args):
         report["mssd_accuracy"] = accuracy_curve([report["mssd_m"]], args.thresholds).tolist()
         if "mspd_px" in report:
             report["mspd_accuracy"] = accuracy_curve([report["mspd_px"]], args.thresholds).tolist()
-    try:
-        text = json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n"
-    except ValueError:
-        raise ValueError("a pose error overflows float64; no report is written") from None
+    text = json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n"
     if args.output is not None:
         _write(args.output, text.encode("ascii"))
     else:
@@ -306,9 +303,8 @@ def main(argv=None):
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
-        # An overflow shows up as a non-finite value, which each command
-        # refuses to write (write_ply beyond float32, eval's strict JSON),
-        # not as a numpy warning.
+        # An overflow shows up as a non-finite value, which write_ply
+        # (beyond float32), mssd and mspd refuse, not as a numpy warning.
         with np.errstate(over="ignore", invalid="ignore"):
             return args.func(args)
     except ParseError as exc:

@@ -360,8 +360,8 @@ class ParamsRecord:
         """The affine pose rotation @ P(scale, shear) + translation that places the
         unit-scale shape `Superquadric(*eps, np.ones(3))` in the world.
 
-        Raises ValueError where the scale and shear give no matrix with a
-        positive determinant.
+        Raises ValueError where the scale and shear give no matrix whose
+        determinant has sign +1; its magnitude may overflow or underflow.
         """
         return PoseHypothesis(*compose_affine(quat_to_matrix(self.rotation), self.scale,
                                               self.shear or (0.0, 0.0, 0.0), self.translation))

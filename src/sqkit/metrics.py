@@ -23,14 +23,14 @@ _BLOCK_POINTS = 4096
 
 @dataclass(frozen=True, eq=False)
 class PoseHypothesis:
-    """Affine pose: p -> matrix @ p + translation, det(matrix) > 0."""
+    """Affine pose: p -> matrix @ p + translation, where det(matrix) has sign +1."""
 
     matrix: np.ndarray
     translation: np.ndarray
 
     def __post_init__(self):
         M = _frozen(self.matrix, (3, 3), "pose matrix must be a finite 3x3 matrix")
-        if np.linalg.det(M) <= 0.0:
+        if not np.linalg.slogdet(M)[0] > 0:
             raise ValueError("pose matrix must have positive determinant")
         t = _frozen(self.translation, (3,), "pose translation must be a finite 3-vector")
         object.__setattr__(self, "matrix", M)
@@ -174,17 +174,20 @@ def _min_max(est, gt, template, group, observe):
         total = diffs[0]
         for d in diffs[1:]:
             total += d
-        best = min(best, total.max(axis=1).min())
+        # The reduction propagates NaN, from `best` as from the block.
+        best = total.max(axis=1).min(initial=best)
+    if not math.isfinite(best):
+        raise ValueError("the pose error overflows float64")
     return float(np.sqrt(best))
 
 
 def mssd(est, gt, template, group):
     """Maximum symmetry-aware surface distance between two poses, in meters.
 
-    min over symmetries S of max over template points x of
-    ||est(x) - gt(S x)||. With `mspd` on the same input, the template is
-    posed once where `_min_max` poses it in one pass (the order-4 and
-    order-8 groups, up to 1,024 and 512 template points).
+    min over symmetries S of max over template points x of ||est(x) - gt(S x)||;
+    a result that overflows float64 raises ValueError. With `mspd` on the same
+    input, the template is posed once where `_min_max` poses it in one pass (the
+    order-4 and order-8 groups, up to 1,024 and 512 template points).
     """
     return _min_max(est, gt, template, group, lambda x, y, z: (x, y, z))
 
@@ -193,10 +196,10 @@ def mspd(est, gt, template, group, intrinsics):
     """Maximum symmetry-aware projection distance between two poses, in pixels.
 
     Same min-max as mssd but measured between pinhole projections; every
-    transformed template point must land in front of the camera. With
-    `mssd` on the same input, the template is posed once where `_min_max`
-    poses it in one pass (the order-4 and order-8 groups, up to 1,024 and
-    512 template points).
+    transformed template point must land in front of the camera, and a result
+    that overflows float64 raises ValueError. With `mssd` on the same input, the
+    template is posed once where `_min_max` poses it in one pass (the order-4
+    and order-8 groups, up to 1,024 and 512 template points).
     """
     return _min_max(est, gt, template, group, partial(_project_rows, intrinsics))
 

@@ -292,7 +292,7 @@ class TestRecordFuzz:
         assert "rotation quaternion" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("scale, code", [(1e300, 0), (1e308, 3)])
+    @pytest.mark.parametrize("scale, code", [(1e300, 0), (1e308, 3), (1e-120, 0)])
     def test_canon_of_huge_record(self, tmp_path, capsys, scale, code):
         record = dict(_BASE_RECORDS[1], eps=[0.5, 1.5], scale=[scale, scale / 2, scale])
         out = tmp_path / "canon.json"

@@ -17,6 +17,8 @@ from conftest import mspd_oracle, mssd_oracle, template_from_dense
 
 K = sk.CameraIntrinsics(fx=500.0, fy=500.0, cx=320.0, cy=240.0)
 IDENTITY = sk.SymmetryGroup(np.eye(3)[None])
+_quaternions = st.integers(0, 2**32 - 1).map(
+    lambda seed: random_quaternion(np.random.default_rng(seed)))
 
 
 def _pose(M=None, t=(0.0, 0.0, 0.0)):
@@ -58,6 +60,24 @@ class TestPoseHypothesis:
             _pose(M=np.diag([1.0, 1.0, -1.0]))
         with pytest.raises(ValueError):
             _pose(M=np.zeros((3, 3)))
+
+    # Scales from 1e-150 to 1e150 put det(M) between 1e-450 and 1e450, beyond
+    # float64 either way, so only its sign can decide.
+    @settings(max_examples=200)
+    @given(_quaternions, st.lists(st.floats(-150.0, 150.0), min_size=3, max_size=3),
+           st.integers(0, 2))
+    @example(np.array([1.0, 0.0, 0.0, 0.0]), [-120.0] * 3, 0)
+    def test_orientation_is_the_determinant_sign(self, q, exponents, column):
+        M = quat_to_matrix(q) * 10.0 ** np.array(exponents)
+        npt.assert_array_equal(_pose(M).matrix, M)
+        sk.decompose_scale_shear(M)
+        for factor in (-1.0, 0.0):
+            bad = M.copy()
+            bad[:, column] *= factor
+            with pytest.raises(ValueError, match="pose matrix must have positive determinant"):
+                _pose(bad)
+            with pytest.raises(ValueError, match="M must have positive determinant"):
+                sk.decompose_scale_shear(bad)
 
     def test_apply_matches_manual(self):
         rng = np.random.default_rng(0)
@@ -136,6 +156,15 @@ class TestMssd:
         with pytest.raises(ValueError):
             sk.mssd(_pose(), _pose(), np.zeros((0, 3)), IDENTITY)
 
+    @pytest.mark.parametrize("metric", [sk.mssd, functools.partial(sk.mspd, intrinsics=K)],
+                             ids=["mssd", "mspd"])
+    def test_overflowing_error_raises(self, metric):
+        # Two identical poses whose posed x overflows: inf - inf is NaN.
+        pose = sk.PoseHypothesis(np.eye(3) * 1e200, [0.0, 0.0, 1.0])
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValueError, match="overflows float64"):
+                metric(pose, pose, [[1e200, 0.0, 0.0], [0.0, 0.0, 1.0]], IDENTITY)
+
 
 class TestMspd:
     def test_zero_for_identical_poses(self):
@@ -194,8 +223,6 @@ _canonical_shapes = st.one_of(
     st.builds(lambda e1, e2, r, h: _shape(e1, e2, r, r, h), _eps1, _eps2, _radii, _heights),
     st.builds(lambda e1, r, h: _shape(e1, 1.0, r, r, h), _eps1, _radii, _heights),
 )
-_quaternions = st.integers(0, 2**32 - 1).map(
-    lambda seed: random_quaternion(np.random.default_rng(seed)))
 # 0.6-1.0 m in front of the camera.
 _translations = st.tuples(st.floats(-0.1, 0.1), st.floats(-0.1, 0.1), st.floats(0.6, 1.0))
 
