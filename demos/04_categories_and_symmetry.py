@@ -1,10 +1,13 @@
-"""Shape categories and per-instance symmetry groups.
+"""Shape categories and the symmetry groups of unit-scale shapes.
 
 The exponent plane is discretized into a grid of categories, each with an
-unscaled farthest-point-sampled template. Symmetries depend on the instance:
-every superquadric survives 180-degree flips, equal radial scales add a
-quarter turn, and a circular cross-section makes z a revolution axis,
-discretized at 10-degree spins. Each group is one (m, 3, 3) rotation stack.
+unscaled farthest-point-sampled template. A symmetry S acts on those unscaled
+points before a pose's scale, so the poses M and M @ S place the same
+surface. The group is therefore the unit-scale shape's and depends on eps2
+alone: every superquadric survives the 180-degree flips and, being unchanged
+by x <-> y, the quarter turn about z, whatever its scales; a circular
+cross-section makes z a revolution axis, discretized at 10-degree spins.
+Each group is one (m, 3, 3) rotation stack.
 """
 
 import numpy as np
@@ -27,7 +30,7 @@ template = sk.template_points(cat, n=512)
 print(f"\ncategory {cat.id} template: {template.shape[0]} points, "
       f"max |coordinate| = {np.abs(template).max():.3f}")
 
-# Symmetry groups are derived per instance, not per category.
+# Symmetry groups follow eps2; the radial scales do not enter.
 instances = [
     ("generic brick", sk.Superquadric(0.3, 0.4, np.array([0.02, 0.05, 0.08]))),
     ("square post", sk.Superquadric(0.3, 0.2, np.array([0.03, 0.03, 0.1]))),
@@ -39,10 +42,11 @@ for label, sq in instances:
     print(f"\n{label}: {len(rotations)} rotations, {spins} of them turns about z "
           f"(every {360 // spins} deg)")
 
-# Every emitted symmetry genuinely maps the scaled surface onto itself.
-sq = instances[1][1]
+# Every emitted symmetry maps the unit-scale surface onto itself, so applied
+# before the scale it keeps even the brick's unequal radii on its surface.
+sq = instances[0][1]
 unit = sk.Superquadric(sq.eps1, sq.eps2, np.ones(3))
-pts = sk.sample_surface(unit, 400, seed=0) * sq.scale
-worst = max(np.abs(sk.inside_outside(sq, pts @ S.T) - 1.0).max()
+pts = sk.sample_surface(unit, 400, seed=0)
+worst = max(np.abs(sk.inside_outside(sq, (pts @ S.T) * sq.scale) - 1.0).max()
             for S in sk.expand_symmetries(sk.symmetry_group(sq)))
 print(f"\nworst |F - 1| after applying a symmetry: {worst:.2e}")

@@ -2,8 +2,8 @@
 
 Fits superquadric primitives to 3D point clouds, folds ambiguous exponent
 parameterizations into a canonical range via a scale/shear warp, discretizes
-the shape space into categories with per-instance symmetry groups, and scores
-pose hypotheses with symmetry-aware surface and projection metrics.
+the shape space into categories with the symmetry groups of unit-scale shapes,
+and scores pose hypotheses with symmetry-aware surface and projection metrics.
 """
 
 from .canonical import (

@@ -2,9 +2,9 @@
 
 A pose hypothesis carries one 3x3 matrix (rotation times symmetric
 scale/shear) plus a translation; it maps unscaled template points into the
-world. MSSD takes the smallest, over the shape's symmetry group, of the
-largest 3D correspondence distance; MSPD does the same in pixels after
-pinhole projection.
+world. MSSD takes the smallest, over the unit-scale shape's symmetry group
+(S acts on template points, so poses M and M @ S place one surface), of the
+largest 3D correspondence distance; MSPD does the same in pixels.
 """
 
 import math
@@ -186,8 +186,8 @@ def mssd(est, gt, template, group):
 
     min over symmetries S of max over template points x of ||est(x) - gt(S x)||;
     a result that overflows float64 raises ValueError. With `mspd` on the same
-    input, the template is posed once where `_min_max` poses it in one pass (the
-    order-4 and order-8 groups, up to 1,024 and 512 template points).
+    input, the template is posed once where `_min_max` poses it in one pass (a
+    group of signed x/y permutations in one block: order 8 up to 512 points).
     """
     return _min_max(est, gt, template, group, lambda x, y, z: (x, y, z))
 
@@ -198,8 +198,8 @@ def mspd(est, gt, template, group, intrinsics):
     Same min-max as mssd but measured between pinhole projections; every
     transformed template point must land in front of the camera, and a result
     that overflows float64 raises ValueError. With `mssd` on the same input, the
-    template is posed once where `_min_max` poses it in one pass (the order-4
-    and order-8 groups, up to 1,024 and 512 template points).
+    template is posed once where `_min_max` poses it in one pass (a group of
+    signed x/y permutations in one block: order 8 up to 512 points).
     """
     return _min_max(est, gt, template, group, partial(_project_rows, intrinsics))
 

@@ -1,13 +1,13 @@
-"""Discretized shape space, per-instance symmetry groups, and FPS templates.
+"""Discretized shape space, unit-shape symmetry groups, and FPS templates.
 
 The (eps1, eps2) plane is cut into a grid of nodes treated as object
 categories. Each category owns an unscaled template cloud obtained by
 farthest-point-sampling a dense surface sample of the unit-scale shape; the
 default grid's FPS orders ship beside this module as data.
-Symmetries are derived per instance: every superquadric is even in each
-coordinate, square cross-sections add a quarter turn about z, and circular
-cross-sections make z a revolution axis. Each group is stored as data: one
-(m, 3, 3) rotation stack built from the closed forms below.
+Symmetries are the unit-scale shape's, so they depend on eps2 alone: every
+superquadric is even in each coordinate and unchanged by x <-> y (order 8),
+and a circular cross-section makes z a revolution axis. Each group is stored
+as data: one (m, 3, 3) rotation stack built from the closed forms below.
 """
 
 import functools
@@ -160,7 +160,9 @@ def template_points(category, n=512):
 
 @dataclass(frozen=True, eq=False)
 class SymmetryGroup:
-    """Rotations mapping a shape onto itself.
+    """Rotations S mapping the unit-scale shape onto itself.
+
+    S acts on unscaled template points, so poses M and M @ S place one surface.
 
     Attributes:
         rotations: read-only (m, 3, 3) stack of proper rotation matrices;
@@ -183,8 +185,7 @@ class SymmetryGroup:
             np.all((R == 0.0) | (np.abs(R) == 1.0)) and np.all(np.abs(R[:, 2, 2]) == 1.0)))
 
 
-# The three groups symmetry_group returns, built and validated once.
-_FLIP_GROUP = SymmetryGroup(_FLIPS)
+# The two groups symmetry_group returns, built and validated once.
 _ORDER8_GROUP = SymmetryGroup(_ORDER8)
 _REVOLUTION_GROUP = SymmetryGroup(_REVOLUTION)
 
@@ -192,20 +193,18 @@ _REVOLUTION_GROUP = SymmetryGroup(_REVOLUTION)
 def symmetry_group(sq, rel_tol=1e-3):
     """Derive the symmetry group of a canonical superquadric instance.
 
-    Every superquadric is symmetric under 180-degree flips about each local
-    axis (order 4). Equal radial scales add a quarter turn about z (order 8),
-    and a circular cross-section (eps2 near 1) makes z a revolution axis,
-    discretized at 10-degree spins for metric evaluation (72 elements).
-    "Equal" and "near" are up to the relative tolerance rel_tol, which must
-    be finite and >= 0. The groups are built once, so every call returns one
-    of three shared, read-only instances.
+    The group is the unit-scale shape's, so it depends on eps2 alone. Every
+    unit-scale superquadric is even in each coordinate and unchanged by
+    x <-> y: order 8, the flips about each local axis and a quarter turn about
+    z, whatever the instance's scales. So the relabel (a, b, R) -> (b, a, R @ Rz(90)) is a pose times a
+    group element: Rz(90) @ diag(b, a, c) = diag(a, b, c) @ Rz(90). eps2
+    within the relative tolerance rel_tol of 1 (finite and >= 0) makes z a
+    revolution axis, discretized at 10-degree spins (72 elements). Every call
+    returns one of two shared, read-only groups built once.
     """
     rel_tol = _real(rel_tol, "rel_tol", 0)
     if sq.eps2 > 1.0:
         raise ValueError("symmetry requires a canonical shape (eps2 <= 1)")
-    ax, ay, _ = sq.scale
-    if abs(ax - ay) / max(ax, ay) > rel_tol:
-        return _FLIP_GROUP
     if abs(sq.eps2 - 1.0) > rel_tol:
         return _ORDER8_GROUP
     return _REVOLUTION_GROUP

@@ -116,9 +116,9 @@ def test_criterion_04_fit_round_trip():
         true = _random_true_shape(rng)
         cloud = sk.sample_surface(true, 2000, seed=1000 + i)
         est0 = sk.canonicalize(sk.fit(cloud).params).canonical
-        # the true symmetry group, with scales within recovery tolerance
-        # treated as equal; recovered records are compared modulo the exact
-        # x/y relabel gauge of the parameterization
+        # the true shape's symmetry group, with eps2 within recovery tolerance
+        # of 1 treated as round; recovered records are compared modulo the
+        # exact x/y relabel gauge of the parameterization, which the group holds
         group = sk.symmetry_group(true, rel_tol=0.02)
         template = sk.template_points(grid.category(
             sk.categorize(true.eps1, true.eps2, grid)), n=512)
@@ -226,7 +226,7 @@ def test_criterion_08_mssd_bruteforce_equivalence():
         scale = (np.array([radial, radial, rng.uniform(0.5, 2.0)])
                  if case % 2 else rng.uniform(0.5, 2.0, 3))
         sq = sk.Superquadric(rng.uniform(0.1, 1.0), rng.uniform(0.1, 0.9), scale)
-        group = sk.symmetry_group(sq)  # order 4 or 8
+        group = sk.symmetry_group(sq)  # order 8: eps2 < 1 whatever the scales
         rotations = sk.expand_symmetries(group)
         n = int(rng.integers(4, 65))
         template = sk.sample_surface(

@@ -27,6 +27,8 @@ SPHERE = {
     "rotation": [1.0, 0.0, 0.0, 0.0],
     "translation": [0.02, -0.03, 0.04],
 }
+# A general shape in front of the camera: ax != ay and eps2 < 1.
+GENERAL = dict(SPHERE, eps=[0.4, 0.7], scale=[0.08, 0.05, 0.12], translation=[0.02, -0.03, 0.8])
 
 
 @pytest.fixture
@@ -626,6 +628,43 @@ class TestEval:
                      "--points", too_many]) == 1
         assert "--points" in capsys.readouterr().err
 
+    def test_exact_xy_relabel_scores_zero(self, tmp_path):
+        """(ax, ay, R) and (ay, ax, R @ Rz(90)) place one surface, so both metrics read 0."""
+        est = dict(GENERAL, scale=[0.05, 0.08, 0.12],
+                   rotation=[np.sqrt(0.5), 0.0, 0.0, np.sqrt(0.5)])
+        paths = {}
+        for name, record in (("gt", GENERAL), ("est", est),
+                             ("intr", {"fx": 500.0, "fy": 480.0, "cx": 320.0, "cy": 240.0})):
+            paths[name] = tmp_path / f"{name}.json"
+            paths[name].write_text(json.dumps(record))
+        out = tmp_path / "report.json"
+        assert main(["eval", "--gt", str(paths["gt"]), "--est", str(paths["est"]),
+                     "--intrinsics", str(paths["intr"]), "--output", str(out)]) == 0
+        report = json.loads(out.read_text())
+        # Criterion 07's bound for an exact symmetry.
+        assert report["mssd_m"] <= 1e-9
+        assert report["mspd_px"] <= 1e-9
+
+    @staticmethod
+    def _chain_mssd(tmp_path, gt_record):
+        """`mssd_m` of the README chain gen (seed 0) -> fit -> canon -> eval against its truth."""
+        gt = tmp_path / "gt.json"
+        gt.write_text(json.dumps(gt_record))
+        cloud, fitted, canon = tmp_path / "c.ply", tmp_path / "fit.json", tmp_path / "canon.json"
+        assert main(["gen", "--params", str(gt), "--n", "2000", "--noise", "0.001",
+                     "--seed", "0", "--output", str(cloud)]) == 0
+        assert main(["fit", "--input", str(cloud), "--output", str(fitted)]) == 0
+        assert main(["canon", "--params", str(fitted), "--output", str(canon)]) == 0
+        out = tmp_path / "report.json"
+        assert main(["eval", "--gt", str(gt), "--est", str(canon), "--output", str(out)]) == 0
+        return json.loads(out.read_text())["mssd_m"]
+
+    def test_chain_scores_xy_relabel_at_noise_level(self, tmp_path):
+        """The fit of this record at seed 0 returns scale (0.05, 0.08, 0.12), the truth's
+        x/y relabel."""
+        # The bound is the noise sigma.
+        assert self._chain_mssd(tmp_path, GENERAL) <= 0.001
+
     @pytest.mark.xfail(strict=True, reason="at eps1 = eps2 every axis permutation maps the "
                        "unit shape to itself, so fit may return a cyclic relabel of the "
                        "axes, which eval scores as pose error")
@@ -634,18 +673,10 @@ class TestEval:
         (0.08, 0.12, 0.0499): the truth's axes relabelled cyclically, so eval
         reads 0.2255 m. At seed 3 the same chain keeps the labels and reads
         0.28 mm."""
-        gt = tmp_path / "gt.json"
-        gt.write_text(json.dumps(dict(SPHERE, eps=[0.5, 0.5], scale=[0.05, 0.08, 0.12],
-                                      translation=[0.02, -0.03, 0.8])))
-        cloud, fitted, canon = tmp_path / "c.ply", tmp_path / "fit.json", tmp_path / "canon.json"
-        assert main(["gen", "--params", str(gt), "--n", "2000", "--noise", "0.001",
-                     "--seed", "0", "--output", str(cloud)]) == 0
-        assert main(["fit", "--input", str(cloud), "--output", str(fitted)]) == 0
-        assert main(["canon", "--params", str(fitted), "--output", str(canon)]) == 0
-        out = tmp_path / "report.json"
-        assert main(["eval", "--gt", str(gt), "--est", str(canon), "--output", str(out)]) == 0
+        record = dict(SPHERE, eps=[0.5, 0.5], scale=[0.05, 0.08, 0.12],
+                      translation=[0.02, -0.03, 0.8])
         # The bound is the noise sigma.
-        assert json.loads(out.read_text())["mssd_m"] <= 0.001
+        assert self._chain_mssd(tmp_path, record) <= 0.001
 
 
 class TestModuleEntry:

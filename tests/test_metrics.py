@@ -216,8 +216,8 @@ def _shape(eps1, eps2, ax, ay, az):
     return sk.Superquadric(eps1, eps2, np.array([ax, ay, az]))
 
 
-# Canonical shapes of each symmetry class: general (order-4 group), square
-# cross-section (order 8) and revolution (72 elements).
+# Canonical shapes with unequal and equal radial scales (both order 8: the
+# group is the unit-scale shape's) and of revolution (72 elements).
 _canonical_shapes = st.one_of(
     st.builds(_shape, _eps1, _eps2, _radii, _radii, _heights),
     st.builds(lambda e1, e2, r, h: _shape(e1, e2, r, r, h), _eps1, _eps2, _radii, _heights),
@@ -244,10 +244,12 @@ class TestSymmetryProperties:
             assert sk.mspd(est, gt, tpl, group, K) <= 1e-9
 
 
-# The three built-in groups and one user-built stack (any proper rotations
-# are accepted, group or not).
+# The four flips (signed x/y permutations, so they take the one-pass path; no
+# built-in group has order 4), the two built-in groups and one user-built
+# stack (any proper rotations are accepted, group or not).
 _METRIC_GROUPS = (
-    sk.symmetry_group(_shape(0.5, 0.5, 0.03, 0.05, 0.1)),
+    sk.SymmetryGroup(np.array([np.diag(d) for d in ((1, 1, 1), (1, -1, -1), (-1, 1, -1),
+                                                    (-1, -1, 1))], dtype=float)),
     sk.symmetry_group(_shape(0.5, 0.5, 0.04, 0.04, 0.1)),
     sk.symmetry_group(_shape(0.5, 1.0, 0.04, 0.04, 0.1)),
     sk.SymmetryGroup(np.array([quat_to_matrix(random_quaternion(np.random.default_rng(s)))
@@ -309,7 +311,7 @@ _CYCLE_GROUP = sk.SymmetryGroup(np.array([np.eye(3), _AXIS_CYCLE, _AXIS_CYCLE @ 
 class TestOracleProperties:
     """MSSD and MSPD equal the scalar double-loop oracles, bit for bit."""
 
-    # The order-4 and order-8 groups take the one-pass path (`_min_max`)
+    # The four flips and the order-8 group take the one-pass path (`_min_max`)
     # when they fit one block. Sums of zero products can take either sign of
     # zero there, so the examples put exact zeros in the template and the
     # poses, within one block and one point past it, where the two-pass path
@@ -386,7 +388,7 @@ def _reuse_oracle(metric, est, gt, group, points):
 class TestPosedStackReuse:
     """`mssd` and `mspd` on one input share one posed stack, never a stale one."""
 
-    # Starts at est 0, gt 1, the order-4 group and template 3. The examples:
+    # Starts at est 0, gt 1, the flips and template 3. The examples:
     # a plain reuse; the template negated in place between the two metrics;
     # each pose swapped for an equal-valued copy, then in turn for one that
     # differs only in its translation and one that differs only in its
@@ -477,7 +479,7 @@ class TestPosedStackReuse:
         assert wrong == []
 
     def test_reused_stack_still_checked_behind_camera(self):
-        # The order-4 group's flip about x takes gt's point to z = -0.25: mssd
+        # The flip about x takes gt's point to z = -0.25: mssd
         # scores it, and mspd, served from mssd's stack, still rejects it.
         tpl = np.array([[0.0, 0.0, 0.5]])
         group = _METRIC_GROUPS[0]

@@ -243,10 +243,12 @@ def _pairwise_gaps(a, b):
 
 
 class TestSymmetryGroup:
-    def test_generic_shape_gets_flip_group(self):
+    def test_unequal_radial_scales_get_order8_group(self):
+        # The group is the unit-scale shape's: the scales do not enter.
         sq = sk.Superquadric(0.3, 0.7, np.array([1.0, 2.0, 3.0]))
         group = sk.symmetry_group(sq)
-        assert group.rotations.shape == (4, 3, 3)
+        assert group.rotations.shape == (8, 3, 3)
+        assert group is sk.symmetry_group(sk.Superquadric(0.3, 0.7, np.ones(3)))
 
     def test_equal_radial_scales_add_quarter_turn(self):
         sq = sk.Superquadric(0.5, 0.2, np.array([1.0, 1.0, 3.0]))
@@ -307,7 +309,7 @@ class TestSymmetryGroup:
         order8 = np.concatenate([flips, flips @ quarter])
         revolution = np.concatenate([rotation_about_z(2.0 * np.pi * k / 36) @ order8
                                      for k in range(9)])
-        for scale, eps2, closed in (([1.0, 2.0, 3.0], 0.7, flips),
+        for scale, eps2, closed in (([1.0, 2.0, 3.0], 0.7, order8),
                                     ([1.0, 1.0, 3.0], 0.7, order8),
                                     ([1.0, 1.0, 3.0], 1.0, revolution)):
             sq = sk.Superquadric(0.4, eps2, np.array(scale))
@@ -328,17 +330,17 @@ class TestSymmetryGroup:
         assert sk.SymmetryGroup(np.array([np.eye(3), flip])).rotations.shape == (2, 3, 3)
 
     def test_symmetries_preserve_surface(self):
+        # What the metrics rely on: S acts on the unit template before the
+        # scale, so the poses M and M @ S place one surface, ax != ay included.
         rng = np.random.default_rng(3)
-        for scale in ([0.03, 0.07, 0.11], [0.04, 0.04, 0.09]):
+        for scale in ([0.03, 0.07, 0.11], [0.04, 0.04, 0.09], [0.08, 0.05, 0.12]):
             e1, e2 = rng.uniform(0.1, 1.0, 2)
-            sq = sk.Superquadric(e1, e2, np.array(scale))
-            unit = sk.Superquadric(e1, e2, np.ones(3))
-            template = sk.sample_surface(unit, 256, seed=0)
-            scaled = template * sq.scale
-            for S in sk.expand_symmetries(sk.symmetry_group(sq)):
-                rotated = scaled @ S.T
-                f = sk.inside_outside(sq, rotated)
-                npt.assert_array_less(np.abs(f - 1.0), 1e-6)
+            for eps2 in (e2, 1.0):
+                sq = sk.Superquadric(e1, eps2, np.array(scale))
+                template = sk.sample_surface(sk.Superquadric(e1, eps2, np.ones(3)), 256, seed=0)
+                for S in sk.expand_symmetries(sk.symmetry_group(sq)):
+                    f = sk.inside_outside(sq, (template @ S.T) * sq.scale)
+                    npt.assert_array_less(np.abs(f - 1.0), 1e-6)
 
     def test_rejects_non_canonical(self):
         sq = sk.Superquadric(0.5, 1.5, np.array([1.0, 1.0, 1.0]))
@@ -354,8 +356,8 @@ class TestSymmetryGroup:
 
     def test_zero_tolerance_needs_exact_equality(self):
         assert len(sk.symmetry_group(sk.Superquadric(0.4, 1.0, np.ones(3)), 0.0).rotations) == 72
-        sq = sk.Superquadric(0.4, 1.0, np.array([1.0, 1.0 + 1e-12, 1.0]))
-        assert len(sk.symmetry_group(sq, rel_tol=0.0).rotations) == 4
+        sq = sk.Superquadric(0.4, 1.0 - 1e-12, np.ones(3))
+        assert len(sk.symmetry_group(sq, rel_tol=0.0).rotations) == 8
 
 
 class TestExpandSymmetries:
