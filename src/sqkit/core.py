@@ -160,8 +160,8 @@ def _linear_rows(M, x, y, z, out=None):
     Explicit ufuncs (not matmul) keep the arithmetic order of a scalar
     reference implementation. x, y and z have one shape; M may carry leading
     stack axes, so an (m, 3, 3) stack applied to (n,) rows gives (m, n)
-    rows. With `out`, a (3, n) array, the rows are written into it. The y
-    and z products share one scratch array.
+    rows. With `out`, an array of 3 such rows, the rows are written into it.
+    The y and z products share one scratch array.
     """
     rows = []
     tmp = None
@@ -174,9 +174,9 @@ def _linear_rows(M, x, y, z, out=None):
     return rows
 
 
-def _posed_rows(M, t, x, y, z):
-    """Coordinate rows of M @ p + t: `_linear_rows`, then t[j] added to row j."""
-    rows = _linear_rows(M, x, y, z)
+def _posed_rows(M, t, x, y, z, out=None):
+    """Coordinate rows of M @ p + t: `_linear_rows` (into `out`), then t[j] added to row j."""
+    rows = _linear_rows(M, x, y, z, out)
     for row, tj in zip(rows, t):
         row += tj
     return rows

@@ -5,6 +5,12 @@ scale/shear) plus a translation; it maps unscaled template points into the
 world. MSSD takes the smallest, over the unit-scale shape's symmetry group
 (S acts on template points, so poses M and M @ S place one surface), of the
 largest 3D correspondence distance; MSPD does the same in pixels.
+
+Both run one min-max, in the order of a plain double loop, for every group:
+S x first, a gather with negation where S is a signed permutation and a 3x3
+apply otherwise, then gt's pose of it. A group that fits one block is posed into
+one stack, shared by `mssd` and `mspd` on the same input; a larger one is
+streamed block by block.
 """
 
 import math
@@ -88,14 +94,27 @@ def project(intrinsics, points):
     return uv[0] if single else uv
 
 
-# The one-pass path's last posed stack, (key, rows), kept for one reuse; see `_min_max`.
+# The last shared stack, (key, stack), kept for one reuse; see `_min_max`.
 _slot = None
 
 
-def _one_pass_rows(est, gt, rows, rotations):
-    """Read-only x, y, z rows of the stack [est.matrix, gt.matrix @ S...] posing `rows`.
+def _symmetric_rows(rows, rotations, gather, start, stop):
+    """x, y, z rows of S x for symmetries start..stop-1 of the stack, (m, n) each.
 
-    A call whose key equals the slot's takes its rows and empties it; any
+    With a gather index (`SymmetryGroup._gather`), each row of S x is a row
+    of [x, y, z, -x, -y, -z]: no arithmetic, and the oracle's
+    (x*S[j,0] + y*S[j,1]) + z*S[j,2] to the bit, up to the sign of a zero.
+    Otherwise `_linear_rows` sums it in that order.
+    """
+    if gather is None:
+        return _linear_rows(rotations[start:stop], *rows)
+    return np.concatenate([rows, -rows])[gather[:, start:stop]]
+
+
+def _shared_stack(est, gt, rows, rotations, gather):
+    """Read-only (3, m+1, n) stack of x, y, z rows: est's pose of `rows`, then gt's of each S x.
+
+    A call whose key equals the slot's takes its stack and empties it; any
     other call poses the stack and leaves it in the slot.
     """
     global _slot
@@ -105,68 +124,63 @@ def _one_pass_rows(est, gt, rows, rotations):
     if slot is not None and slot[0] == key:
         _slot = None
         return slot[1]
-    # est's pose is element 0 of the stack.
-    translations = np.repeat(gt.translation[:, None, None], len(rotations) + 1, axis=1)
-    translations[:, 0, 0] = est.translation
-    posed = tuple(_posed_rows(np.concatenate([est.matrix[None], gt.matrix @ rotations]),
-                              translations, *rows))
-    for row in posed:
-        row.setflags(write=False)
-    _slot = key, posed
-    return posed
+    m = len(rotations)
+    stack = np.empty((3, m + 1, rows.shape[1]))
+    _posed_rows(est.matrix, est.translation, *rows, out=stack[:, 0])
+    _posed_rows(gt.matrix, gt.translation, *_symmetric_rows(rows, rotations, gather, 0, m),
+                out=stack[:, 1:])
+    stack.setflags(write=False)
+    _slot = key, stack
+    return stack
 
 
 def _min_max(est, gt, template, group, observe):
     """min over symmetries S of max over points x of |observe(est(x)) - observe(gt(S x))|.
 
-    `observe` maps x, y, z coordinate rows to the rows compared. The
-    template is transposed once into contiguous (3, n) rows, and the
-    ground-truth rows come as (k, n) arrays, k symmetries at a time, so one
-    broadcast per block of at most _BLOCK_POINTS points keeps each row near
-    32 KB however large the group. Squared differences are summed in row
-    order, (d0*d0 + d1*d1) + d2*d2, and the square root is taken last: it is
-    monotonic, so that changes no bit.
+    `observe` maps x, y, z coordinate rows to the rows compared. Every
+    group is scored in one order, the oracle's: the template is transposed
+    once into contiguous (3, n) rows x; S x is formed first, a gather with
+    negation where S is a signed permutation (`SymmetryGroup._gather`) and
+    `_linear_rows` otherwise (`_symmetric_rows`); then `_posed_rows` poses
+    it with gt's scalar coefficients, as it poses x with est's. Squared
+    differences are summed in row order, (d0*d0 + d1*d1) + d2*d2, and the
+    square root is taken last: it is monotonic, so that changes no bit.
+    The gather can differ from the oracle only in the sign of a zero, and
+    a zero is squared or fails z > 0 either way.
 
-    A group of signed x/y permutations that keep z
-    (`SymmetryGroup._xy_permutations`) that fits one block is posed in one
-    pass: est.matrix and the stack gt.matrix @ S go through one
-    `_posed_rows` call. That is bit-exact. M @ S only swaps and negates
-    columns of M, exactly. Row j of the one-pass pose sums
-    x*(MS)[j,0] + y*(MS)[j,1], the same two products as
-    (Sx)[0]*M[j,0] + (Sx)[1]*M[j,1], at most in swapped order, which float
-    addition does not see; the z product comes last in both. Only the sign
-    of a zero can differ, and a zero is squared or fails z > 0 either way.
-    A permutation that moves z regroups the sum and changes bits, so every
-    other group, and one past one block, is posed in two passes, S @ x and
-    then gt's pose of that, in the oracle's order.
+    A group that fits one block of _BLOCK_POINTS template points times
+    symmetries (the condition is size alone: order 8 up to 512 points, 72
+    elements up to 56) is posed into one (3, m+1, n) stack, est's rows
+    first (`_shared_stack`). That stack, at most one block (about 100 KB),
+    is kept in the module's slot with its input, so `mssd` and `mspd` on
+    one input pose it once, whichever runs first. The key is content: the
+    bytes of both poses' matrix and translation, of the group's stack, and
+    the shape and bytes of the template's (3, n) rows, so neither an array
+    changed in place nor an object at a reused address can hit. A hit
+    empties the slot, so a stack serves one reuse. The stack is read-only,
+    so its difference is taken out of place, and `observe`, with `mspd`'s
+    z > 0 check, runs on every call. Threads can only lose a reuse: a
+    stack is never written and is served only for its own key.
 
-    The one-pass stack, at most one block (about 100 KB), is kept in the
-    module's slot with its input, so `mssd` and `mspd` on one input pose
-    it once, whichever runs first. The key is content: the bytes of both
-    poses' matrix and translation, of the group's stack, and the shape and
-    bytes of the template's (3, n) rows, so neither an array changed in
-    place nor an object at a reused address can hit. A hit empties the
-    slot, so a stack serves one reuse. The stack is read-only, so its
-    difference is taken out of place, and `observe`, with `mspd`'s z > 0
-    check, runs on every call. Threads can only lose a reuse: a stack is
-    never written and is served only for its own key. The two-pass path
-    keeps nothing.
+    A larger group is streamed, k symmetries per block of at most
+    _BLOCK_POINTS points, so each row stays near 32 KB however large the
+    group, and keeps nothing.
     """
     rows = np.ascontiguousarray(as_points(template).T)
     rotations = expand_symmetries(group)
     m = len(rotations)
     k = max(1, _BLOCK_POINTS // rows.shape[1])
-    if group._xy_permutations and m <= k:
-        posed = observe(*_one_pass_rows(est, gt, rows, rotations))
+    if m <= k:
+        posed = observe(*_shared_stack(est, gt, rows, rotations, group._gather))
         seen, blocks = [row[0] for row in posed], [[row[1:] for row in posed]]
     else:
         seen = observe(*_posed_rows(est.matrix, est.translation, *rows))
-        blocks = (observe(*_posed_rows(gt.matrix, gt.translation,
-                                       *_linear_rows(rotations[i:i + k], *rows)))
+        blocks = (observe(*_posed_rows(gt.matrix, gt.translation, *_symmetric_rows(
+                      rows, rotations, group._gather, i, i + k)))
                   for i in range(0, m, k))
     best = np.inf
     for block in blocks:
-        # The slot's rows are read-only; their difference is a new array.
+        # The stack's rows are read-only; their difference is a new array.
         diffs = [np.subtract(e, d, out=d if d.flags.writeable else None)
                  for e, d in zip(seen, block)]
         for d in diffs:
@@ -184,10 +198,11 @@ def _min_max(est, gt, template, group, observe):
 def mssd(est, gt, template, group):
     """Maximum symmetry-aware surface distance between two poses, in meters.
 
-    min over symmetries S of max over template points x of ||est(x) - gt(S x)||;
-    a result that overflows float64 raises ValueError. With `mspd` on the same
-    input, the template is posed once where `_min_max` poses it in one pass (a
-    group of signed x/y permutations in one block: order 8 up to 512 points).
+    min over symmetries S of max over template points x of ||est(x) - gt(S x)||,
+    with S x gathered for a signed permutation and applied otherwise, then
+    posed by gt; a result that overflows float64 raises ValueError. With `mspd`
+    on the same input, the template is posed once when the group fits one
+    block of `_min_max` (order 8 up to 512 points, 72 elements up to 56).
     """
     return _min_max(est, gt, template, group, lambda x, y, z: (x, y, z))
 
@@ -195,11 +210,11 @@ def mssd(est, gt, template, group):
 def mspd(est, gt, template, group, intrinsics):
     """Maximum symmetry-aware projection distance between two poses, in pixels.
 
-    Same min-max as mssd but measured between pinhole projections; every
-    transformed template point must land in front of the camera, and a result
-    that overflows float64 raises ValueError. With `mssd` on the same input, the
-    template is posed once where `_min_max` poses it in one pass (a group of
-    signed x/y permutations in one block: order 8 up to 512 points).
+    Same min-max as mssd, in the same order, but measured between pinhole
+    projections; every transformed template point must land in front of the
+    camera, and a result that overflows float64 raises ValueError. With `mssd`
+    on the same input, the template is posed once when the group fits one
+    block of `_min_max` (order 8 up to 512 points, 72 elements up to 56).
     """
     return _min_max(est, gt, template, group, partial(_project_rows, intrinsics))
 

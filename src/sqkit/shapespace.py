@@ -168,8 +168,13 @@ class SymmetryGroup:
         rotations: read-only (m, 3, 3) stack of proper rotation matrices;
             the groups built here list the identity first.
 
-    `_xy_permutations` is derived once from the stack: every entry is
-    exactly 0 or +-1 and |S[2, 2]| = 1 (see `metrics._min_max` for its use).
+    `_gather` is derived once from the stack. When every entry is exactly 0
+    or +-1, each S is a signed permutation, and `_gather` is the read-only
+    (3, m) index with (S_i x)[j] = [x, y, z, -x, -y, -z][_gather[j, i]];
+    otherwise it is None. `metrics._min_max` scores every group in one
+    order, S x first and then the pose: it forms S x by this gather, with no
+    arithmetic, or by a 3x3 apply where there is none. Whether the posed
+    rows are shared between `mssd` and `mspd` depends on size alone.
     """
 
     rotations: np.ndarray
@@ -181,8 +186,12 @@ class SymmetryGroup:
                              "proper rotation matrices")
         R.setflags(write=False)
         object.__setattr__(self, "rotations", R)
-        object.__setattr__(self, "_xy_permutations", bool(
-            np.all((R == 0.0) | (np.abs(R) == 1.0)) and np.all(np.abs(R[:, 2, 2]) == 1.0)))
+        gather = None
+        if np.all((R == 0.0) | (np.abs(R) == 1.0)):
+            # A rotation of 0 and +-1 entries has one nonzero entry per row.
+            gather = (np.argmax(np.abs(R), axis=2) + 3 * (R.sum(axis=2) < 0.0)).T
+            gather.setflags(write=False)
+        object.__setattr__(self, "_gather", gather)
 
 
 # The two groups symmetry_group returns, built and validated once.

@@ -244,9 +244,13 @@ class TestSymmetryProperties:
             assert sk.mspd(est, gt, tpl, group, K) <= 1e-9
 
 
-# The four flips (signed x/y permutations, so they take the one-pass path; no
-# built-in group has order 4), the two built-in groups and one user-built
-# stack (any proper rotations are accepted, group or not).
+# x -> y -> z -> x: a signed axis permutation that moves z.
+_AXIS_CYCLE = np.array([[0.0, 0.0, 1.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+_CYCLE_GROUP = sk.SymmetryGroup(np.array([np.eye(3), _AXIS_CYCLE, _AXIS_CYCLE @ _AXIS_CYCLE]))
+# The four flips (no built-in group has order 4), the two built-in groups, one
+# user-built stack (any proper rotations are accepted, group or not) and the
+# axis cycle. The flips, the order-8 group and the cycle are signed
+# permutations, whose S x `_min_max` gathers.
 _METRIC_GROUPS = (
     sk.SymmetryGroup(np.array([np.diag(d) for d in ((1, 1, 1), (1, -1, -1), (-1, 1, -1),
                                                     (-1, -1, 1))], dtype=float)),
@@ -254,6 +258,7 @@ _METRIC_GROUPS = (
     sk.symmetry_group(_shape(0.5, 1.0, 0.04, 0.04, 0.1)),
     sk.SymmetryGroup(np.array([quat_to_matrix(random_quaternion(np.random.default_rng(s)))
                                for s in range(2)])),
+    _CYCLE_GROUP,
 )
 # Template points times symmetries the scalar oracles run per example.
 _ORACLE_BUDGET = 12_288
@@ -303,19 +308,13 @@ def _axis_aligned(group, n, seed):
     return (group, tpl, diagonal, turned) if seed % 2 else (group, tpl, turned, diagonal)
 
 
-# x -> y -> z -> x: a signed axis permutation that moves z.
-_AXIS_CYCLE = np.array([[0.0, 0.0, 1.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
-_CYCLE_GROUP = sk.SymmetryGroup(np.array([np.eye(3), _AXIS_CYCLE, _AXIS_CYCLE @ _AXIS_CYCLE]))
-
-
 class TestOracleProperties:
     """MSSD and MSPD equal the scalar double-loop oracles, bit for bit."""
 
-    # The four flips and the order-8 group take the one-pass path (`_min_max`)
-    # when they fit one block. Sums of zero products can take either sign of
-    # zero there, so the examples put exact zeros in the template and the
-    # poses, within one block and one point past it, where the two-pass path
-    # takes over.
+    # For signed permutations `_min_max` gathers S x, which can differ from the
+    # oracle's sum of zero products in the sign of a zero. So the examples put
+    # exact zeros in the template and the poses, within one block, where the
+    # shared stack is posed, and one point past it, where the blocks stream.
     @settings(max_examples=40)
     @given(_metric_cases())
     @example(_past_one_block())
@@ -329,7 +328,7 @@ class TestOracleProperties:
         assert (sk.mspd(est, gt, tpl, group, _K_BENCH)
                 == mspd_oracle(est, gt, tpl, group.rotations, _K_BENCH))
 
-    # Composing a permutation that moves z into gt's matrix regroups each
+    # Composed into gt's matrix, a permutation that moves z would regroup each
     # row's sum: at seed 30 that changes the bits of both metrics.
     @settings(max_examples=20)
     @given(st.integers(0, 2**32 - 1))
@@ -344,7 +343,7 @@ class TestOracleProperties:
                 == mspd_oracle(est, gt, tpl, rotations, _K_BENCH))
 
 
-# Inputs of the slot tests (`_min_max` keeps the one-pass stack for one
+# Inputs of the slot tests (`_min_max` keeps the shared stack for one
 # reuse). Poses 2 and 3 swap the translations of poses 0 and 1, and pose 4
 # is an equal-valued copy of pose 0.
 _reuse_rng = np.random.default_rng(25)
@@ -358,8 +357,9 @@ _REUSE_POSES += (sk.PoseHypothesis(_REUSE_POSES[0].matrix, _REUSE_POSES[1].trans
 # place. Template 4 is one point past one block of the current group.
 _REUSE_TEMPLATES = (_reuse_rng.uniform(-1.0, 1.0, (1, 3)), _reuse_rng.uniform(-1.0, 1.0, (64, 3)))
 _REUSE_TEMPLATES += (_REUSE_TEMPLATES[1].copy(),)
-# `_METRIC_GROUPS` and the quarter turns about z: a group of signed x/y
-# permutations of the flips' order, so its stack has the flips' shape.
+# `_METRIC_GROUPS` and, at index 5, the quarter turns about z: a group of
+# signed x/y permutations of the flips' order, so its stack has the flips'
+# shape.
 _REUSE_GROUPS = _METRIC_GROUPS + (sk.SymmetryGroup(np.array(
     [np.linalg.matrix_power(np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]]), i)
      for i in range(4)])),)
@@ -401,8 +401,8 @@ class TestPosedStackReuse:
     @example([("mspd", None), ("mssd", ("est", 4)), ("mspd", ("gt", 0)), ("mssd", ("est", 1))])
     @example([("mssd", None), ("mspd", ("est", 2)), ("mssd", ("est", 1)), ("mspd", ("gt", 3)),
               ("mssd", ("gt", 0))])
-    @example([("mssd", None), ("mspd", ("group", 4)), ("mssd", ("group", 0)),
-              ("mspd", ("group", 1)), ("mssd", ("group", 4))])
+    @example([("mssd", None), ("mspd", ("group", 5)), ("mssd", ("group", 0)),
+              ("mspd", ("group", 1)), ("mssd", ("group", 5))])
     @example([("mssd", ("template", 4)), ("mspd", ("group", 1)), ("mssd", ("group", 2)),
               ("mspd", ("group", 3)), ("mssd", ("template", 0))])
     def test_interleaved_calls_equal_oracles(self, steps):
@@ -423,17 +423,24 @@ class TestPosedStackReuse:
                                         tpl.tobytes())
 
     def test_both_metrics_pose_once(self):
+        # A call that builds a stack leaves it in the slot, and the call that
+        # reuses it empties the slot: one build per input for any group that
+        # fits one block, and none past it (the revolution group at 57 points).
         est, gt = _REUSE_POSES[:2]
-        tpl = _REUSE_TEMPLATES[1]
-        for group in _METRIC_GROUPS[:2]:
-            with (mock.patch.object(sk.metrics, "_slot", None),
-                  mock.patch.object(sk.metrics, "_posed_rows",
-                                    wraps=sk.metrics._posed_rows) as posed):
-                sk.mssd(est, gt, tpl, group)
-                sk.mspd(est, gt, tpl, group, _K_BENCH)
-                sk.mspd(est, gt, tpl, group, _K_BENCH)
-                sk.mssd(est, gt, tpl, group)
-            assert posed.call_count == 2
+        cases = [(group, _REUSE_TEMPLATES[1], True)
+                 for group in (*_METRIC_GROUPS[:2], _CYCLE_GROUP)]
+        cases += [(_METRIC_GROUPS[2], _REUSE_TEMPLATES[1][:32], True),
+                  (_METRIC_GROUPS[2], _PAST_BLOCK[72], False)]
+        for group, tpl, fits in cases:
+            built = []
+            with mock.patch.object(sk.metrics, "_slot", None):
+                for metric in ("mssd", "mspd", "mspd", "mssd"):
+                    if metric == "mssd":
+                        sk.mssd(est, gt, tpl, group)
+                    else:
+                        sk.mspd(est, gt, tpl, group, _K_BENCH)
+                    built.append(sk.metrics._slot is not None)
+            assert built == [fits, False, fits, False]
 
     def test_each_call_expands_the_group_once(self):
         # perfbench counts a metric call's point evaluations from the
@@ -484,12 +491,12 @@ class TestPosedStackReuse:
         tpl = np.array([[0.0, 0.0, 0.5]])
         group = _METRIC_GROUPS[0]
         est, gt = _pose(t=(0.0, 0.0, 1.0)), _pose(t=(0.0, 0.0, 0.25))
-        with (mock.patch.object(sk.metrics, "_slot", None),
-              mock.patch.object(sk.metrics, "_posed_rows", wraps=sk.metrics._posed_rows) as posed):
+        with mock.patch.object(sk.metrics, "_slot", None):
             assert sk.mssd(est, gt, tpl, group) == mssd_oracle(est, gt, tpl, group.rotations)
+            assert sk.metrics._slot is not None
             with pytest.raises(ValueError, match="behind camera"):
                 sk.mspd(est, gt, tpl, group, K)
-        assert posed.call_count == 1
+            assert sk.metrics._slot is None
 
 
 class TestAccuracyCurve:
