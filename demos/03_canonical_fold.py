@@ -2,8 +2,9 @@
 
 A cross-section exponent above 1 describes (approximately) the same surface
 as its twin at 2 - eps2, rescaled and turned 45 degrees about z. The fold
-keeps eps2 in [0.01, 1] and expresses the turn as a symmetric scale/shear
-matrix plus a new rotation, so records stay comparable after fitting.
+keeps eps2 in [0.01, 1]: the canonical record carries the turn in its
+rotation and a shear keeps the per-axis scales its equal radial scales drop,
+so records stay comparable after fitting.
 """
 
 import numpy as np
@@ -16,11 +17,12 @@ result = sk.canonicalize(raw)
 
 print("input eps2 =", raw.eps2, "-> canonical eps2 =", result.canonical.eps2)
 print("warped:", result.warped, " radial mismatch |ax-ay|/max:", round(result.radial_mismatch, 3))
-print("\nscale/shear matrix (in-plane block carries the shear):")
-print(np.round(result.scale_matrix, 6))
+print("\ncanonical scale:", np.round(result.canonical.scale, 6).tolist())
+print("shear (p_xy, p_xz, p_yz):", np.round(result.shear, 6).tolist())
 
-# The rotation and scale matrix compose into one affine factor, which splits
-# back into rotation, pure scale, and shear.
+# The canonical record and its shear compose into one affine factor, the pose
+# of the record `sqkit canon` writes, which splits back into rotation, pure
+# scale, and shear.
 M, t = result.compose()
 rotation, scale, shear = sk.decompose_scale_shear(M)
 print("\ncomposed M decomposes into:")

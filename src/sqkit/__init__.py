@@ -1,9 +1,9 @@
 """Superquadric geometry toolkit.
 
 Fits superquadric primitives to 3D point clouds, folds ambiguous exponent
-parameterizations into a canonical range via a scale/shear warp, discretizes
-the shape space into categories with the symmetry groups of unit-scale shapes,
-and scores pose hypotheses with symmetry-aware surface and projection metrics.
+parameterizations into a canonical record plus a shear, discretizes the shape
+space into categories with the symmetry groups of unit-scale shapes, and
+scores pose hypotheses with symmetry-aware surface and projection metrics.
 """
 
 from .canonical import (

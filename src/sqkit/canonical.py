@@ -17,9 +17,12 @@ rho_p(theta) = (|cos theta|^p + |sin theta|^p)^(-1/p); g peaks at about
 0.0443 near eps2 = 1.615.
 
 Canonicalization folds any eps2 > 1 fit onto its twin so eps2 always lands in
-[EPS_MIN, 1]. Instead of averaging the radial scales, the fold is expressed
-as a symmetric scale/shear matrix plus a new rotation, which keeps per-axis
-scale information when ax != ay at the cost of an off-diagonal (shear) term.
+[EPS_MIN, 1]. The fold is described once, by the canonical record and a
+shear: the twin's turn of diag(s ax, s ay, az) has the in-plane block
+[[r, d], [d, r]] with r = s (ax + ay) / 2, the record's radial scale, and
+d = s (ax - ay) / 2, the shear p_xy, which keeps the per-axis information
+the twin's equal radial scales drop. Record and shear compose into one
+affine pose by `compose_affine`, the map `ParamsRecord.pose` uses.
 """
 
 from dataclasses import dataclass
@@ -27,21 +30,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import EPS_MIN, Superquadric, _frozen
-from .rotations import (
-    is_rotation_matrix,
-    quat_from_axis_angle,
-    quat_mul,
-    quat_to_matrix,
-    rotation_about_z,
-)
+from .rotations import is_rotation_matrix, quat_from_axis_angle, quat_mul
 
 _SQRT2_HALF = np.sqrt(2.0) / 2.0
 
 # 45-degree turn about z relating a shape to its exponent twin. The turn
 # direction is a gauge choice (the twin is quarter-turn symmetric); this sign
-# makes the in-plane warp block come out as [[(a+b)/2, (a-b)/2], ...].
+# makes the in-plane block come out as [[r, d], [d, r]] with d = s (ax - ay) / 2.
 TWIN_TURN_QUAT = quat_from_axis_angle((0.0, 0.0, 1.0), -np.pi / 4.0)
-TWIN_TURN_MATRIX = rotation_about_z(-np.pi / 4.0)
 
 
 def duality_scale(eps2):
@@ -59,51 +55,39 @@ class CanonicalizationResult:
     Attributes:
         canonical: parameter record with eps2 in [EPS_MIN, 1].
         warped: whether the exponent fold was applied.
-        scale_matrix: symmetric positive-definite 3x3 scale/shear factor.
-        rotation: 3x3 world rotation to apply after scale_matrix.
-        translation: unchanged world-frame center.
+        shear: (p_xy, p_xz, p_yz) of the fold, the record's `shear` field;
+            (d, 0, 0) when warped, zero otherwise.
         radial_mismatch: |ax - ay| / max(ax, ay) of the input; the fold is
             only exact-to-approximation when this is small.
     """
 
     canonical: Superquadric
     warped: bool
-    scale_matrix: np.ndarray
-    rotation: np.ndarray
-    translation: np.ndarray
+    shear: np.ndarray
     radial_mismatch: float
 
     def compose(self):
-        """Single affine factor (M, t) with M = rotation @ scale_matrix."""
-        return self.rotation @ self.scale_matrix, np.array(self.translation)
+        """Single affine factor (M, t): the pose of the canonical record with `shear`."""
+        c = self.canonical
+        return compose_affine(c.rotation_matrix, c.scale, self.shear, c.translation)
 
 
 def canonicalize(sq):
     """Fold eps2 > 1 onto the canonical range [EPS_MIN, 1].
 
     Already-canonical inputs are returned unchanged (same parameter object,
-    identity scale/rotation factors). Otherwise the canonical record is the
-    exponent twin of the module docstring, its eps2 floored at EPS_MIN (an exact
-    square cross-section would need exponent 0); the scale/shear matrix keeps
-    the per-axis information the twin's equal radial scales drop, and a large
+    zero shear). Otherwise the canonical record is the exponent twin of the
+    module docstring, its eps2 floored at EPS_MIN (an exact square
+    cross-section would need exponent 0); the shear keeps the per-axis
+    information the twin's equal radial scales drop, and a large
     `radial_mismatch` signals that the twin only approximates the input.
     """
     ax, ay, az = sq.scale
     mismatch = abs(ax - ay) / max(ax, ay)
     if sq.eps2 <= 1.0:
-        return CanonicalizationResult(
-            canonical=sq,
-            warped=False,
-            scale_matrix=np.diag(sq.scale),
-            rotation=quat_to_matrix(sq.rotation),
-            translation=np.array(sq.translation),
-            radial_mismatch=mismatch,
-        )
+        return CanonicalizationResult(canonical=sq, warped=False, shear=np.zeros(3),
+                                      radial_mismatch=mismatch)
     s = duality_scale(sq.eps2)
-    scaled = np.diag([ax * s, ay * s, az])
-    warp = TWIN_TURN_MATRIX.T @ scaled @ TWIN_TURN_MATRIX
-    warp = 0.5 * (warp + warp.T)
-    rotation = quat_to_matrix(sq.rotation) @ TWIN_TURN_MATRIX
     radial = s * 0.5 * (ax + ay)
     canonical = Superquadric(
         eps1=sq.eps1,
@@ -112,14 +96,9 @@ def canonicalize(sq):
         rotation=quat_mul(sq.rotation, TWIN_TURN_QUAT),
         translation=sq.translation,
     )
-    return CanonicalizationResult(
-        canonical=canonical,
-        warped=True,
-        scale_matrix=warp,
-        rotation=rotation,
-        translation=np.array(sq.translation),
-        radial_mismatch=mismatch,
-    )
+    return CanonicalizationResult(canonical=canonical, warped=True,
+                                  shear=np.array([s * 0.5 * (ax - ay), 0.0, 0.0]),
+                                  radial_mismatch=mismatch)
 
 
 def decompose_scale_shear(M):

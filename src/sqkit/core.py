@@ -90,10 +90,15 @@ def _frozen(value, shape, message, ok=math.isfinite):
 def as_points(points):
     """Validate and return a point cloud as an (n, 3) float array.
 
-    Accepts any array-like of 3-vectors. Rejects non-finite coordinates and
-    empty clouds.
+    Accepts any array-like of 3-vectors of integers or floats. Rejects other
+    dtypes (strings, bools, objects, complex), non-finite coordinates and
+    empty clouds. numpy still promotes a bool that sits beside floats in a
+    sequence, so [[True, 0.5, 1.0]] is read as [[1.0, 0.5, 1.0]].
     """
-    pts = np.asarray(points, dtype=float)
+    pts = np.asarray(points)
+    if pts.dtype.kind not in "iuf":
+        raise ValueError(f"point coordinates must be integers or floats, got dtype {pts.dtype}")
+    pts = pts.astype(float, copy=False)
     if pts.ndim == 1 and pts.size == 3:
         pts = pts.reshape(1, 3)
     if pts.ndim != 2 or pts.shape[1] != 3:

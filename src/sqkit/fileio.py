@@ -380,7 +380,13 @@ def record_from_superquadric(sq, shear=None, category_id=None):
 
 
 def write_params(record):
-    """Serialize a ParamsRecord as deterministic JSON bytes."""
+    """Serialize a ParamsRecord as deterministic JSON bytes.
+
+    The bytes are parsed before they are returned: a record that
+    `parse_params` would refuse (eps outside [EPS_MIN, 2], a nonpositive
+    scale, a negative category_id, a value that is not a number) raises
+    ValueError instead.
+    """
     payload = {
         "schema_version": PARAMS_SCHEMA_VERSION,
         "eps": list(record.eps),
@@ -392,7 +398,12 @@ def write_params(record):
         payload["shear"] = list(record.shear)
     if record.category_id is not None:
         payload["category_id"] = record.category_id
-    return (json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n").encode("ascii")
+    data = (json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n").encode("ascii")
+    try:
+        parse_params(data)
+    except ParseError as exc:
+        raise ValueError(f"record cannot be written: {exc}") from None
+    return data
 
 
 def parse_params(data):

@@ -148,12 +148,13 @@ def _min_max(est, gt, template, group, observe):
     The gather can differ from the oracle only in the sign of a zero, and
     a zero is squared or fails z > 0 either way.
 
-    A group that fits one block of _BLOCK_POINTS template points times
-    symmetries (the condition is size alone: order 8 up to 512 points, 72
-    elements up to 56) is posed into one (3, m+1, n) stack, est's rows
-    first (`_shared_stack`). That stack, at most one block (about 100 KB),
-    is kept in the module's slot with its input, so `mssd` and `mspd` on
-    one input pose it once, whichever runs first. The key is content: the
+    A group that fits one block, m symmetries times n template points at
+    most _BLOCK_POINTS (the condition is size alone: order 8 up to 512
+    points, 72 elements up to 56), is posed into one (3, m+1, n) stack,
+    est's rows first (`_shared_stack`). That stack, one block and est's
+    rows (at most 196,608 B; 110,592 B for order 8 at 512 points), is
+    kept in the module's slot with its input, so `mssd` and `mspd` on one
+    input pose it once, whichever runs first. The key is content: the
     bytes of both poses' matrix and translation, of the group's stack, and
     the shape and bytes of the template's (3, n) rows, so neither an array
     changed in place nor an object at a reused address can hit. A hit
@@ -163,17 +164,17 @@ def _min_max(est, gt, template, group, observe):
     stack is never written and is served only for its own key.
 
     A larger group is streamed, k symmetries per block of at most
-    _BLOCK_POINTS points, so each row stays near 32 KB however large the
-    group, and keeps nothing.
+    _BLOCK_POINTS points (one symmetry when n alone exceeds it), so each
+    row stays near 32 KB however large the group, and keeps nothing.
     """
     rows = np.ascontiguousarray(as_points(template).T)
     rotations = expand_symmetries(group)
-    m = len(rotations)
-    k = max(1, _BLOCK_POINTS // rows.shape[1])
-    if m <= k:
+    m, n = len(rotations), rows.shape[1]
+    if m * n <= _BLOCK_POINTS:
         posed = observe(*_shared_stack(est, gt, rows, rotations, group._gather))
         seen, blocks = [row[0] for row in posed], [[row[1:] for row in posed]]
     else:
+        k = max(1, _BLOCK_POINTS // n)
         seen = observe(*_posed_rows(est.matrix, est.translation, *rows))
         blocks = (observe(*_posed_rows(gt.matrix, gt.translation, *_symmetric_rows(
                       rows, rotations, group._gather, i, i + k)))

@@ -144,3 +144,32 @@ def test_rejects_a_bool_beside_numbers(entry):
     name, call = BOOLS_BESIDE_NUMBERS[entry]
     with pytest.raises(ValueError, match=rf"^{re.escape(name)} must be "):
         call()
+
+
+# Every point array goes through `as_points`, which takes integer and float dtypes only.
+POINT_ARGUMENTS = {
+    "as_points": sk.as_points,
+    "farthest_point_sample": lambda p: sk.farthest_point_sample(p, 2, start=0),
+    "radial_distance": lambda p: sk.radial_distance(SHAPE, p),
+    "PoseHypothesis.apply": lambda p: sk.PoseHypothesis(np.eye(3), np.zeros(3)).apply(p),
+    "write_ply": sk.write_ply,
+}
+NOT_NUMBERS = {
+    "strings": [["0", "0", "0"], ["1", "1", "1"]],
+    "bools": [[True, False, True], [False, True, False]],
+    "objects": np.array([[0.0, 1.0, 2.0], [1.0, 2.0, 3.0]], dtype=object),
+    "complex": [[1j, 0.0, 0.0], [0.0, 0.0, 1.0]],
+}
+
+
+@pytest.mark.parametrize("entry", POINT_ARGUMENTS)
+@pytest.mark.parametrize("points", NOT_NUMBERS)
+def test_point_arrays_take_only_integers_and_floats(entry, points):
+    with pytest.raises(ValueError, match="^point coordinates must be integers or floats, got "):
+        POINT_ARGUMENTS[entry](NOT_NUMBERS[points])
+
+
+def test_integer_points_give_the_same_bits():
+    ints = [[0, 1, 2], [3, 4, 5]]
+    for call in POINT_ARGUMENTS.values():
+        assert _bits(call(np.array(ints))) == _bits(call(np.array(ints, dtype=float)))

@@ -91,6 +91,17 @@ class TestFoldProperties:
         assert np.max(np.abs(M2 - M)) <= 1e-12 * np.max(np.abs(M))
         npt.assert_array_equal(t2, t)
 
+    @fold_settings
+    @given(superquadrics)
+    def test_compose_is_the_pose_of_the_written_record(self, sq):
+        # One description of the fold: the composed factor is, bit for bit,
+        # the pose of the record that `sqkit canon` writes.
+        result = sk.canonicalize(sq)
+        M, t = result.compose()
+        pose = sk.record_from_superquadric(result.canonical, shear=result.shear).pose()
+        assert M.tobytes() == pose.matrix.tobytes()
+        assert t.tobytes() == pose.translation.tobytes()
+
 
 class TestCanonicalize:
     def test_identity_below_one(self):
@@ -98,29 +109,38 @@ class TestCanonicalize:
         result = sk.canonicalize(sq)
         assert result.warped is False
         assert result.canonical is sq
-        npt.assert_array_equal(result.scale_matrix, np.diag(sq.scale))
-        npt.assert_array_equal(result.rotation, quat_to_matrix(sq.rotation))
+        npt.assert_array_equal(result.shear, np.zeros(3))
+        M, t = result.compose()
+        npt.assert_array_equal(M, quat_to_matrix(sq.rotation) @ np.diag(sq.scale))
+        npt.assert_array_equal(t, sq.translation)
 
-    def test_equal_radial_scales_give_diagonal_warp(self):
+    def test_equal_radial_scales_give_no_shear(self):
         sq = sk.Superquadric(1.0, 1.5, np.array([0.04, 0.04, 0.1]))
         result = sk.canonicalize(sq)
         assert result.warped is True
-        npt.assert_allclose(result.scale_matrix,
-                            np.diag([0.034142, 0.034142, 0.1]), atol=1e-6)
+        npt.assert_allclose(result.canonical.scale, [0.034142, 0.034142, 0.1], atol=1e-6)
+        npt.assert_array_equal(result.shear, np.zeros(3))
 
     def test_unequal_radial_scales_give_shear(self):
         sq = sk.Superquadric(1.0, 1.5, np.array([0.05, 0.03, 0.1]))
-        block = sk.canonicalize(sq).scale_matrix[:2, :2]
-        npt.assert_allclose(block, [[0.034142, 0.0085355], [0.0085355, 0.034142]],
-                            atol=1e-6)
+        result = sk.canonicalize(sq)
+        npt.assert_allclose(result.canonical.scale[:2], 0.034142, atol=1e-6)
+        npt.assert_allclose(result.shear[0], 0.0085355, atol=1e-6)
+        npt.assert_array_equal(result.shear[1:], 0.0)
 
-    def test_scale_matrix_symmetric_positive_definite(self):
+    def test_fold_factor_is_the_turned_scale_and_positive_definite(self):
+        # P(scale, shear) is the 45-degree turn of diag(s ax, s ay, az), up to rounding
         rng = np.random.default_rng(44)
+        turn = rotation_about_z(-np.pi / 4.0)
         for _ in range(25):
             sq = random_superquadric(rng, eps2=(1.0 + 1e-6, 2.0))
-            warp = sk.canonicalize(sq).scale_matrix
-            npt.assert_allclose(warp, warp.T, atol=1e-12)
-            assert np.all(np.linalg.eigvalsh(warp) > 0)
+            result = sk.canonicalize(sq)
+            P, _ = sk.compose_affine(np.eye(3), result.canonical.scale, result.shear,
+                                     np.zeros(3))
+            s = sk.duality_scale(sq.eps2)
+            turned = turn.T @ np.diag(sq.scale * [s, s, 1.0]) @ turn
+            npt.assert_allclose(P, turned, rtol=0, atol=1e-15 * np.max(sq.scale))
+            assert np.all(np.linalg.eigvalsh(P) > 0)
 
     def test_canonical_range_and_idempotence(self):
         rng = np.random.default_rng(45)
@@ -135,13 +155,13 @@ class TestCanonicalize:
     def test_rotation_update_matches_turn(self):
         sq = sk.Superquadric(0.9, 1.4, np.array([0.04, 0.04, 0.06]))
         result = sk.canonicalize(sq)
-        from sqkit.canonical import TWIN_TURN_MATRIX
-        npt.assert_allclose(result.rotation, quat_to_matrix(sq.rotation) @ TWIN_TURN_MATRIX,
+        npt.assert_allclose(result.canonical.rotation_matrix,
+                            quat_to_matrix(sq.rotation) @ rotation_about_z(-np.pi / 4.0),
                             atol=1e-14)
 
     def test_posed_warp_equals_canonical_record_when_round(self):
-        # with ax = ay the (rotation, scale_matrix) factors pose the unit twin
-        # exactly like the canonical record itself
+        # with ax = ay the shear is 0 and the composed factor poses the unit
+        # twin exactly like the canonical record itself
         rng = np.random.default_rng(46)
         for _ in range(10):
             radial = rng.uniform(0.02, 0.1)
@@ -154,11 +174,10 @@ class TestCanonicalize:
             c = result.canonical
             unit = sk.Superquadric(c.eps1, c.eps2, np.ones(3))
             u = sk.sample_surface(unit, 256, seed=1)
-            posed = sk.PoseHypothesis(result.rotation @ result.scale_matrix,
-                                      result.translation).apply(u)
+            posed = sk.PoseHypothesis(*result.compose()).apply(u)
             direct = sk.PoseHypothesis(c.rotation_matrix @ np.diag(c.scale),
                                        c.translation).apply(u)
-            npt.assert_allclose(posed, direct, atol=1e-15)
+            npt.assert_array_equal(posed, direct)
 
     def test_fold_surface_deviation_is_bounded(self):
         # The exponent fold is an approximation: it moves each surface point,
@@ -194,7 +213,9 @@ class TestCanonicalize:
         sq = sk.Superquadric(1.0, 1.5, np.array([0.05, 0.03, 0.1]))
         result = sk.canonicalize(sq)
         M, t = result.compose()
-        npt.assert_allclose(M, result.rotation @ result.scale_matrix)
+        c = result.canonical
+        M2, _ = sk.compose_affine(c.rotation_matrix, c.scale, result.shear, c.translation)
+        npt.assert_array_equal(M, M2)
         npt.assert_array_equal(t, sq.translation)
 
 
@@ -214,8 +235,9 @@ class TestDecomposeScaleShear:
 
     def test_symmetric_input_is_its_own_factor(self):
         sq = sk.Superquadric(1.0, 1.5, np.array([0.05, 0.03, 0.1]))
-        warp = sk.canonicalize(sq).scale_matrix
-        R, scale, shear = sk.decompose_scale_shear(warp)
+        result = sk.canonicalize(sq)
+        P, _ = sk.compose_affine(np.eye(3), result.canonical.scale, result.shear, np.zeros(3))
+        R, scale, shear = sk.decompose_scale_shear(P)
         npt.assert_allclose(R, np.eye(3), atol=1e-10)
         npt.assert_allclose(scale, [0.034142, 0.034142, 0.1], atol=1e-6)
         npt.assert_allclose(shear, [0.0085355, 0.0, 0.0], atol=1e-6)

@@ -438,6 +438,22 @@ class TestCanon:
         rec = sk.parse_params(out.read_bytes())
         assert rec.eps[1] == 0.5
 
+    def test_canon_report_is_the_pose_of_its_record(self, tmp_path, capsys):
+        # On a warped record the printed matrix and translation are, bit for
+        # bit, the pose of the record canon writes.
+        q = np.array([0.9, 0.3, -0.2, 0.1])
+        raw = dict(GENERAL, eps=[1.0, 1.5], scale=[0.05, 0.03, 0.1],
+                   rotation=list(q / np.linalg.norm(q)))
+        src = tmp_path / "raw.json"
+        src.write_text(json.dumps(raw))
+        out = tmp_path / "canon.json"
+        assert main(["canon", "--params", str(src), "--output", str(out)]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["warped"] is True
+        pose = sk.parse_params(out.read_bytes()).pose()
+        assert report["matrix"] == pose.matrix.tolist()
+        assert report["translation"] == pose.translation.tolist()
+
     def test_canon_is_identity_below_one(self, tmp_path, sphere_params, capsys):
         out = tmp_path / "canon.json"
         assert main(["canon", "--params", sphere_params, "--output", str(out)]) == 0

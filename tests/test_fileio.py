@@ -556,6 +556,14 @@ class TestParamsRecord:
         with pytest.raises(ValueError, match="JSON"):
             sk.write_params(rec)
 
+    @pytest.mark.parametrize("field, value", [("eps", (5.0, 5.0)), ("scale", (0.05, -0.06, 0.07)),
+                                              ("category_id", -3), ("eps", ("1.0", 1.0))])
+    def test_write_params_refuses_what_parse_params_refuses(self, field, value):
+        fields = dict(eps=(1.0, 1.0), scale=(0.05, 0.06, 0.07), rotation=(1.0, 0.0, 0.0, 0.0),
+                      translation=(0.0, 0.0, 0.0))
+        with pytest.raises(ValueError, match="^record cannot be written: "):
+            sk.write_params(sk.ParamsRecord(**{**fields, field: value}))
+
 
 class TestGenSynthetic:
     def test_noiseless_full_view_on_surface(self):

@@ -442,6 +442,16 @@ class TestPosedStackReuse:
                     built.append(sk.metrics._slot is not None)
             assert built == [fits, False, fits, False]
 
+    def test_one_element_group_past_one_block_is_streamed(self):
+        # One symmetry on 4,097 points is past one block: the metric streams
+        # it, leaves the slot empty and still equals the oracle.
+        est, gt = _REUSE_POSES[:2]
+        tpl = np.random.default_rng(29).uniform(-1.0, 1.0, (sk.metrics._BLOCK_POINTS + 1, 3))
+        with mock.patch.object(sk.metrics, "_slot", None):
+            assert sk.mssd(est, gt, tpl, IDENTITY) == mssd_oracle(est, gt, tpl,
+                                                                 IDENTITY.rotations)
+            assert sk.metrics._slot is None
+
     def test_each_call_expands_the_group_once(self):
         # perfbench counts a metric call's point evaluations from the
         # `sqkit.metrics.expand_symmetries` span inside it.
