@@ -3,11 +3,12 @@
 The exponent plane is discretized into a grid of categories, each with an
 unscaled farthest-point-sampled template. A symmetry S acts on those unscaled
 points before a pose's scale, so the poses M and M @ S place the same
-surface. The group is therefore the unit-scale shape's and depends on eps2
-alone: every superquadric survives the 180-degree flips and, being unchanged
-by x <-> y, the quarter turn about z, whatever its scales; a circular
-cross-section makes z a revolution axis, discretized at 10-degree spins.
-Each group is one (m, 3, 3) rotation stack.
+surface. The group is therefore the unit-scale shape's and depends on the
+exponents alone: every superquadric survives the 180-degree flips and, being
+unchanged by x <-> y, the quarter turn about z, whatever its scales; equal
+exponents add every signed axis permutation (the 24-element cube group); a
+circular cross-section makes z a revolution axis, discretized at 10-degree
+spins. Each group is one (m, 3, 3) rotation stack.
 """
 
 import numpy as np
@@ -30,10 +31,11 @@ template = sk.template_points(cat, n=512)
 print(f"\ncategory {cat.id} template: {template.shape[0]} points, "
       f"max |coordinate| = {np.abs(template).max():.3f}")
 
-# Symmetry groups follow eps2; the radial scales do not enter.
+# Symmetry groups follow the exponents; the scales do not enter.
 instances = [
     ("generic brick", sk.Superquadric(0.3, 0.4, np.array([0.02, 0.05, 0.08]))),
     ("square post", sk.Superquadric(0.3, 0.2, np.array([0.03, 0.03, 0.1]))),
+    ("equal exponents", sk.Superquadric(0.5, 0.5, np.array([0.03, 0.05, 0.1]))),
     ("round can", sk.Superquadric(0.3, 1.0, np.array([0.03, 0.03, 0.1]))),
 ]
 for label, sq in instances:

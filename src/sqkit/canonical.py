@@ -55,8 +55,8 @@ class CanonicalizationResult:
     Attributes:
         canonical: parameter record with eps2 in [EPS_MIN, 1].
         warped: whether the exponent fold was applied.
-        shear: (p_xy, p_xz, p_yz) of the fold, the record's `shear` field;
-            (d, 0, 0) when warped, zero otherwise.
+        shear: read-only (p_xy, p_xz, p_yz) of the fold, the record's `shear`
+            field; (d, 0, 0) when warped, zero otherwise.
         radial_mismatch: |ax - ay| / max(ax, ay) of the input; the fold is
             only exact-to-approximation when this is small.
     """
@@ -65,6 +65,10 @@ class CanonicalizationResult:
     warped: bool
     shear: np.ndarray
     radial_mismatch: float
+
+    def __post_init__(self):
+        object.__setattr__(self, "shear",
+                           _frozen(self.shear, (3,), "shear must be a finite 3-vector"))
 
     def compose(self):
         """Single affine factor (M, t): the pose of the canonical record with `shear`."""
@@ -82,13 +86,15 @@ def canonicalize(sq):
     information the twin's equal radial scales drop, and a large
     `radial_mismatch` signals that the twin only approximates the input.
     """
-    ax, ay, az = sq.scale
+    ax, ay, az = sq.scale.tolist()  # Python floats overflow to inf without a warning
     mismatch = abs(ax - ay) / max(ax, ay)
     if sq.eps2 <= 1.0:
         return CanonicalizationResult(canonical=sq, warped=False, shear=np.zeros(3),
                                       radial_mismatch=mismatch)
     s = duality_scale(sq.eps2)
-    radial = s * 0.5 * (ax + ay)
+    total = ax + ay
+    # The sum overflows only near the float limit, where halving each scale is exact.
+    radial = s * 0.5 * total if total < np.inf else s * (0.5 * ax + 0.5 * ay)
     canonical = Superquadric(
         eps1=sq.eps1,
         eps2=max(2.0 - sq.eps2, EPS_MIN),

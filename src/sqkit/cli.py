@@ -3,18 +3,22 @@
 A parameter record places the unit-scale shape of its eps in the world by
 its pose, rotation @ P(scale, shear) + translation (`ParamsRecord.pose`).
 `sample` draws that posed surface, shear included, which is the surface
-`eval` scores; `gen` and `canon` read a record as a `Superquadric`, which has
-no shear, so they refuse a record with a nonzero one.
+`eval` scores. `fit` writes a folded fit with the fold's shear. `canon`
+writes a canonical record (eps2 <= 1) back with its shear; it folds only an
+unsheared record, since a sheared pose has no closed-form fold. `gen` reads
+a record as a `Superquadric`, which has no shear, so it refuses a nonzero one.
 
 Exit codes: 0 success; 1 usage error (a bad flag value, such as text, nan, inf
 or a negative --seed; grid without --list; sample --fps above --n; a gen
 whose --visible keeps no point of --n); 2 parse/format error (including an
 input that cannot be read, an output that cannot be written, an eval --gt
 record whose eps2 > 1 is not canonical, a record whose scale and shear give
-no valid pose, and a gen or canon record with a nonzero shear); 3 numerical
-failure (non-convergence, degenerate input, a cloud beyond the float32 range
-of PLY coordinates, eval --intrinsics with a template point at or behind the
-camera, an eval whose pose error overflows to a non-finite value). No nonzero
+no valid pose, a gen record with a nonzero shear, and a canon record with a
+nonzero shear and eps2 > 1); 3 numerical failure (non-convergence,
+degenerate input, a cloud beyond the float32 range of PLY coordinates, a
+canon fold whose pose matrix is singular in float64, eval --intrinsics with
+a template point at or behind the camera, an eval whose pose error
+overflows to a non-finite value). No nonzero
 exit writes a file; a fit that does not converge still prints its
 rms_residual_m line. Diagnostics go to stderr; one about an input file
 starts with its flag and path.
@@ -132,9 +136,11 @@ def _cmd_fit(args):
     )
     result = fit(cloud, config)
     if result.converged:
-        sq = canonicalize(result.params).canonical
+        folded = canonicalize(result.params)
+        sq = folded.canonical
         category = categorize(sq.eps1, sq.eps2, default_grid())
-        _write(args.output, write_params(record_from_superquadric(sq, category_id=category)))
+        _write(args.output, write_params(record_from_superquadric(
+            sq, shear=folded.shear if folded.warped else None, category_id=category)))
     print(f"rms_residual_m={result.rms_residual:.9g}")
     if not result.converged:
         print("fit did not converge within the iteration budget; no file is written",
@@ -162,16 +168,20 @@ def _cmd_sample(args):
 
 def _cmd_canon(args):
     with _input("--params", args.params) as data:
-        sq = _unsheared(parse_params(data), "canon")
+        record = parse_params(data)
+        record.pose()  # a shear that leaves no valid pose is a parse error, as in eval
+        # eps2 <= 1 is canonical, shear and all; a sheared pose has no closed-form fold.
+        sq = _unsheared(record, "canon") if record.eps[1] > 1.0 else record.to_superquadric()
     result = canonicalize(sq)
-    matrix, translation = result.compose()
-    rotation, scale, shear = decompose_scale_shear(matrix)
-    out = record_from_superquadric(result.canonical, shear=result.shear)
+    kept = result.shear if result.warped or record.shear is None else record.shear
+    out = record_from_superquadric(result.canonical, shear=kept)
+    pose = out.pose()
+    rotation, scale, shear = decompose_scale_shear(pose.matrix)
     _write(args.output, write_params(out))
     report = {
         "warped": result.warped,
-        "matrix": matrix.tolist(),
-        "translation": translation.tolist(),
+        "matrix": pose.matrix.tolist(),
+        "translation": pose.translation.tolist(),
         "rotation": rotation.tolist(),
         "scale": scale.tolist(),
         "shear": shear.tolist(),

@@ -4,7 +4,9 @@ and half-space occlusion.
 
 All lengths are meters. Coordinates are written as shortest float32
 round-trip decimals (at most 9 significant digits), matching the PLY
-`property float` type, so write -> parse -> write is byte-stable.
+`property float` type, so write -> parse -> write is byte-stable. A
+`ParamsRecord` checks its fields where it is built, so `write_params` only
+serializes and `parse_params` only decodes and builds.
 """
 
 import contextlib
@@ -16,7 +18,7 @@ from typing import Optional
 import numpy as np
 
 from .canonical import compose_affine
-from .core import Superquadric, _frozen, _integer, _real, as_points, sample_surface
+from .core import Superquadric, _integer, _real, as_points, sample_surface
 from .metrics import CameraIntrinsics, PoseHypothesis
 from .rotations import quat_canonical, quat_from_euler_xyz, quat_normalize, quat_to_matrix
 
@@ -338,9 +340,24 @@ def _load_json(data):
         raise ParseError("invalid JSON: nested too deeply") from None
 
 
+def _vector(value, name, size):
+    """`value`, a list, tuple or 1-D array of `size` finite reals (not bools), as a
+    tuple of Python floats; anything else raises a ValueError naming the field."""
+    with contextlib.suppress(TypeError, ValueError):
+        if isinstance(value, (list, tuple, np.ndarray)) and len(value) == size:
+            return tuple(_real(v, name) for v in value)
+    raise ValueError(f"field {name!r} must be a {size}-vector of finite numbers")
+
+
 @dataclass(frozen=True, eq=False)
 class ParamsRecord:
-    """Serializable superquadric parameters plus optional shear and category."""
+    """Serializable superquadric parameters plus optional shear and category.
+
+    Checked where it is built: each vector is stored as a tuple of Python
+    floats (see `_vector`); eps, scale, rotation and translation must make a
+    valid `Superquadric`; category_id is an integer >= 0. Anything else raises
+    a ValueError, so every record can be written and parsed back.
+    """
 
     eps: tuple
     scale: tuple
@@ -348,6 +365,15 @@ class ParamsRecord:
     translation: tuple
     shear: Optional[tuple] = None
     category_id: Optional[int] = None
+
+    def __post_init__(self):
+        for name, size in (("eps", 2), ("scale", 3), ("rotation", 4), ("translation", 3)):
+            object.__setattr__(self, name, _vector(getattr(self, name), name, size))
+        if self.shear is not None:
+            object.__setattr__(self, "shear", _vector(self.shear, "shear", 3))
+        if self.category_id is not None:
+            object.__setattr__(self, "category_id", _integer(self.category_id, "category_id", 0))
+        self.to_superquadric()
 
     def to_superquadric(self):
         """The shape without its shear: exact only for a record whose shear is absent or 0."""
@@ -368,25 +394,13 @@ class ParamsRecord:
 
 
 def record_from_superquadric(sq, shear=None, category_id=None):
-    return ParamsRecord(
-        eps=(sq.eps1, sq.eps2),
-        scale=tuple(sq.scale.tolist()),
-        rotation=tuple(quat_canonical(sq.rotation).tolist()),
-        translation=tuple(sq.translation.tolist()),
-        shear=None if shear is None else tuple(
-            _frozen(shear, (3,), "shear must be a finite 3-vector").tolist()),
-        category_id=None if category_id is None else _integer(category_id, "category_id", 0),
-    )
+    return ParamsRecord(eps=(sq.eps1, sq.eps2), scale=sq.scale,
+                        rotation=quat_canonical(sq.rotation), translation=sq.translation,
+                        shear=shear, category_id=category_id)
 
 
 def write_params(record):
-    """Serialize a ParamsRecord as deterministic JSON bytes.
-
-    The bytes are parsed before they are returned: a record that
-    `parse_params` would refuse (eps outside [EPS_MIN, 2], a nonpositive
-    scale, a negative category_id, a value that is not a number) raises
-    ValueError instead.
-    """
+    """Serialize a ParamsRecord as deterministic JSON bytes."""
     payload = {
         "schema_version": PARAMS_SCHEMA_VERSION,
         "eps": list(record.eps),
@@ -398,12 +412,7 @@ def write_params(record):
         payload["shear"] = list(record.shear)
     if record.category_id is not None:
         payload["category_id"] = record.category_id
-    data = (json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n").encode("ascii")
-    try:
-        parse_params(data)
-    except ParseError as exc:
-        raise ValueError(f"record cannot be written: {exc}") from None
-    return data
+    return (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode("ascii")
 
 
 def parse_params(data):
@@ -411,7 +420,8 @@ def parse_params(data):
 
     Rotation may be given as a unit quaternion (w, x, y, z) or, alternatively,
     as intrinsic XYZ Euler angles in radians under "euler_xyz"; it is always
-    normalized to a quaternion. Unknown fields are ignored.
+    normalized to a quaternion. Unknown fields are ignored; the record's
+    constructor checks the rest.
     """
     payload = _load_json(data)
     if not isinstance(payload, dict):
@@ -419,50 +429,31 @@ def parse_params(data):
     version = payload.get("schema_version")
     if type(version) is not int or version != PARAMS_SCHEMA_VERSION:
         raise ParseError(f"unsupported schema_version {version!r}")
-
-    def vector(name, size, required=True):
+    for name in ("eps", "scale", "translation"):
         if name not in payload:
-            if required:
-                raise ParseError(f"missing field {name!r}")
-            return None
-        val = payload[name]
-        if isinstance(val, list) and len(val) == size:
-            with contextlib.suppress(ValueError):
-                return tuple(_real(v, name) for v in val)
-        raise ParseError(f"field {name!r} must be a {size}-vector of finite numbers")
-
-    eps = vector("eps", 2)
-    scale = vector("scale", 3)
-    translation = vector("translation", 3)
+            raise ParseError(f"missing field {name!r}")
     has_quat = "rotation" in payload
     has_euler = "euler_xyz" in payload
     if has_quat and has_euler:
         raise ParseError("give either 'rotation' or 'euler_xyz', not both")
-    if has_quat:
-        rotation = np.array(vector("rotation", 4))
-    elif has_euler:
-        rotation = quat_from_euler_xyz(*vector("euler_xyz", 3))
-    else:
+    if not (has_quat or has_euler):
         raise ParseError("missing rotation ('rotation' quaternion or 'euler_xyz')")
-    with np.errstate(over="ignore"):
-        norm = float(np.linalg.norm(rotation))
-    if norm == 0.0 or not np.isfinite(norm):
-        raise ParseError("rotation quaternion must be nonzero, with a finite norm")
-    if abs(norm - 1.0) > 1e-12:
-        rotation = quat_normalize(rotation)
-    shear = vector("shear", 3, required=False)
-    category_id = payload.get("category_id")
-    if category_id is not None and (type(category_id) is not int or category_id < 0):
-        raise ParseError("category_id must be a nonnegative integer")
-    record = ParamsRecord(
-        eps=eps, scale=scale, rotation=tuple(float(v) for v in rotation),
-        translation=translation, shear=shear, category_id=category_id,
-    )
     try:
-        record.to_superquadric()
+        if has_quat:
+            rotation = np.array(_vector(payload["rotation"], "rotation", 4))
+        else:
+            rotation = quat_from_euler_xyz(*_vector(payload["euler_xyz"], "euler_xyz", 3))
+        with np.errstate(over="ignore"):
+            norm = float(np.linalg.norm(rotation))
+        if norm == 0.0 or not np.isfinite(norm):
+            raise ValueError("rotation quaternion must be nonzero, with a finite norm")
+        if abs(norm - 1.0) > 1e-12:
+            rotation = quat_normalize(rotation)
+        return ParamsRecord(eps=payload["eps"], scale=payload["scale"], rotation=rotation,
+                            translation=payload["translation"], shear=payload.get("shear"),
+                            category_id=payload.get("category_id"))
     except ValueError as exc:
-        raise ParseError(f"invalid parameters: {exc}") from None
-    return record
+        raise ParseError(str(exc)) from None
 
 
 def parse_intrinsics(data):

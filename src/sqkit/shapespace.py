@@ -4,10 +4,12 @@ The (eps1, eps2) plane is cut into a grid of nodes treated as object
 categories. Each category owns an unscaled template cloud obtained by
 farthest-point-sampling a dense surface sample of the unit-scale shape; the
 default grid's FPS orders ship beside this module as data.
-Symmetries are the unit-scale shape's, so they depend on eps2 alone: every
-superquadric is even in each coordinate and unchanged by x <-> y (order 8),
-and a circular cross-section makes z a revolution axis. Each group is stored
-as data: one (m, 3, 3) rotation stack built from the closed forms below.
+Symmetries are the unit-scale shape's, so they depend on the exponents
+alone: every superquadric is even in each coordinate and unchanged by
+x <-> y (order 8), equal exponents make every signed axis permutation a
+symmetry (the 24-element cube group), and a circular cross-section makes z a
+revolution axis. Each group is stored as data: one (m, 3, 3) rotation stack
+built from the closed forms below.
 """
 
 import functools
@@ -34,6 +36,10 @@ _FLIPS = np.array([np.diag(d) for d in ((1, 1, 1), (1, -1, -1), (-1, 1, -1), (-1
                   dtype=float)
 _QUARTER_TURN = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
 _ORDER8 = np.concatenate([_FLIPS, _FLIPS @ _QUARTER_TURN])
+# The cycle x -> y -> z -> x; with order 8 it makes the 24 signed axis
+# permutations of determinant +1, the cube group, order 8 first.
+_CYCLE = np.array([[0.0, 0.0, 1.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+_CUBE = np.concatenate([_ORDER8, _ORDER8 @ _CYCLE, _ORDER8 @ _CYCLE.T])
 # A revolution axis is discretized at this many spins; the order-8 group
 # already holds the quarter turns, so only the spins below 90 degrees compose.
 _REVOLUTION_STEPS = 36
@@ -194,29 +200,42 @@ class SymmetryGroup:
         object.__setattr__(self, "_gather", gather)
 
 
-# The two groups symmetry_group returns, built and validated once.
+# The three groups symmetry_group returns, built and validated once.
 _ORDER8_GROUP = SymmetryGroup(_ORDER8)
+_CUBE_GROUP = SymmetryGroup(_CUBE)
 _REVOLUTION_GROUP = SymmetryGroup(_REVOLUTION)
 
 
 def symmetry_group(sq, rel_tol=1e-3):
     """Derive the symmetry group of a canonical superquadric instance.
 
-    The group is the unit-scale shape's, so it depends on eps2 alone. Every
-    unit-scale superquadric is even in each coordinate and unchanged by
-    x <-> y: order 8, the flips about each local axis and a quarter turn about
-    z, whatever the instance's scales. So the relabel (a, b, R) -> (b, a, R @ Rz(90)) is a pose times a
-    group element: Rz(90) @ diag(b, a, c) = diag(a, b, c) @ Rz(90). eps2
-    within the relative tolerance rel_tol of 1 (finite and >= 0) makes z a
-    revolution axis, discretized at 10-degree spins (72 elements). Every call
-    returns one of two shared, read-only groups built once.
+    The group is the unit-scale shape's, so it depends on the exponents
+    alone. Every unit-scale superquadric is even in each coordinate and
+    unchanged by x <-> y: order 8, the flips about each local axis and a
+    quarter turn about z, whatever the instance's scales. So the relabel
+    (a, b, R) -> (b, a, R @ Rz(90)) is a pose times a group element:
+    Rz(90) @ diag(b, a, c) = diag(a, b, c) @ Rz(90). With rel_tol (finite
+    and >= 0):
+    - eps2 within rel_tol of 1 makes z a revolution axis, discretized at
+      10-degree spins (72 elements), whatever eps1;
+    - otherwise |eps1 - eps2| <= rel_tol * max(eps1, eps2) makes every
+      signed axis permutation a symmetry, the 24-element cube group, which
+      holds the cyclic relabel (a, b, c, R) -> (c, a, b, R @ C.T) too, C the
+      cycle x -> y -> z -> x;
+    - otherwise the group is order 8.
+    At eps1 = eps2 = 1 the unit shape is a sphere, but the 72-element group
+    stays the answer there, without the sphere's x <-> z relabel, until the
+    revolution axis is scored as a continuous symmetry. Every call returns
+    one of three shared, read-only groups built once.
     """
     rel_tol = _real(rel_tol, "rel_tol", 0)
     if sq.eps2 > 1.0:
         raise ValueError("symmetry requires a canonical shape (eps2 <= 1)")
-    if abs(sq.eps2 - 1.0) > rel_tol:
-        return _ORDER8_GROUP
-    return _REVOLUTION_GROUP
+    if abs(sq.eps2 - 1.0) <= rel_tol:
+        return _REVOLUTION_GROUP
+    if abs(sq.eps1 - sq.eps2) <= rel_tol * max(sq.eps1, sq.eps2):
+        return _CUBE_GROUP
+    return _ORDER8_GROUP
 
 
 def expand_symmetries(group):

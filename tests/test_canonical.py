@@ -218,6 +218,22 @@ class TestCanonicalize:
         npt.assert_array_equal(M, M2)
         npt.assert_array_equal(t, sq.translation)
 
+    @pytest.mark.parametrize("eps2", [0.7, 1.5])
+    def test_shear_is_read_only(self, eps2):
+        # a writable shear would change what compose() returns
+        result = sk.canonicalize(sk.Superquadric(1.0, eps2, np.array([0.05, 0.03, 0.1])))
+        with pytest.raises(ValueError):
+            result.shear[0] = 0.02
+        assert not result.shear.flags.writeable
+
+    def test_fold_of_the_largest_scales_is_finite(self):
+        # ax + ay overflows here; the canonical radial scale s (ax + ay) / 2 does not
+        big = np.finfo(float).max
+        result = sk.canonicalize(sk.Superquadric(0.5, 1.5, np.array([big, big / 2, 1.0])))
+        s = sk.duality_scale(1.5)
+        assert result.canonical.scale[0] == s * (0.5 * big + 0.25 * big)
+        assert np.isfinite(result.shear).all()
+
 
 class TestDecomposeScaleShear:
     def test_diagonal_input(self):

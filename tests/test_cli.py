@@ -299,14 +299,11 @@ class TestFit:
         assert rec.category_id is not None
         np.testing.assert_allclose(rec.scale, 0.05, rtol=0.01)
 
-    @pytest.mark.xfail(strict=True, reason="fit writes the folded twin without the fold's "
-                       "shear; canon refuses a sheared record, so writing it needs a decision "
-                       "on canon's contract first")
     def test_fit_keeps_the_fold_shear(self, tmp_path):
         """A raw fit with eps2 1.502 and scale (0.0301, 0.0601, 0.1000) is
         folded to scale (0.0384, 0.0384, 0.1000): without its shear the
-        record spans 0.0914 m in x and y, against the cloud's 0.0614 and
-        0.1205 m."""
+        record would span 0.0914 m in x and y, against the cloud's 0.0614
+        and 0.1205 m. fit writes the shear canon gives the raw fit."""
         gt = tmp_path / "gt.json"
         gt.write_text(json.dumps(dict(SPHERE, eps=[0.5, 1.5], scale=[0.03, 0.06, 0.1],
                                       translation=[0.0, 0.0, 0.0])))
@@ -321,6 +318,11 @@ class TestFit:
         canon = tmp_path / "canon.json"
         assert main(["canon", "--params", str(raw), "--output", str(canon)]) == 0
         assert (sk.parse_params(fitted.read_bytes()).shear
+                == sk.parse_params(canon.read_bytes()).shear)
+        # fit's record is canonical, so canon passes it through with its shear
+        again = tmp_path / "again.json"
+        assert main(["canon", "--params", str(fitted), "--output", str(again)]) == 0
+        assert (sk.parse_params(again.read_bytes()).shear
                 == sk.parse_params(canon.read_bytes()).shear)
 
 
@@ -482,12 +484,47 @@ class TestCanon:
         assert main(["canon", "--params", str(src), "--output", str(tmp_path / "o.json")]) == 2
         assert not (tmp_path / "o.json").exists()
 
-    def test_canon_rejects_sheared_record(self, tmp_path):
-        rec = dict(SPHERE)
-        rec["shear"] = [0.01, 0.0, 0.0]
+    def test_canon_rejects_sheared_record(self, tmp_path, capsys):
+        # Only a record canon would fold (eps2 > 1) must be unsheared.
+        rec = dict(SPHERE, eps=[1.0, 1.5], shear=[0.01, 0.0, 0.0])
         src = tmp_path / "s.json"
         src.write_text(json.dumps(rec))
         assert main(["canon", "--params", str(src), "--output", str(tmp_path / "o.json")]) == 2
+        assert "without shear" in capsys.readouterr().err
+        assert not (tmp_path / "o.json").exists()
+
+    def test_canon_passes_a_canonical_sheared_record_through(self, tmp_path, capsys):
+        rec = dict(GENERAL, shear=[0.01, 0.0, -0.002], category_id=7)
+        src = tmp_path / "s.json"
+        src.write_text(json.dumps(rec))
+        out = tmp_path / "o.json"
+        assert main(["canon", "--params", str(src), "--output", str(out)]) == 0
+        report = json.loads(capsys.readouterr().out)
+        written = sk.parse_params(out.read_bytes())
+        given = sk.parse_params(src.read_bytes())
+        assert report["warped"] is False
+        assert written.shear == given.shear and written.category_id is None
+        assert report["matrix"] == given.pose().matrix.tolist()
+
+    def test_canon_twice_on_folded_record_is_a_fixed_point(self, tmp_path):
+        # The folded output is canonical, so canon writes it back byte for byte.
+        raw = dict(GENERAL, eps=[0.5, 1.5], scale=[0.03, 0.06, 0.1])
+        src = tmp_path / "raw.json"
+        src.write_text(json.dumps(raw))
+        once, twice = tmp_path / "once.json", tmp_path / "twice.json"
+        assert main(["canon", "--params", str(src), "--output", str(once)]) == 0
+        assert main(["canon", "--params", str(once), "--output", str(twice)]) == 0
+        assert sk.parse_params(once.read_bytes()).shear[0] < -0.01
+        assert twice.read_bytes() == once.read_bytes()
+
+    def test_sheared_record_without_pose_exits_2(self, tmp_path, capsys):
+        rec = dict(SPHERE, shear=[0.5, 0.0, 0.0])  # det(P) < 0 at scale 0.05
+        src = tmp_path / "s.json"
+        src.write_text(json.dumps(rec))
+        out = tmp_path / "o.json"
+        assert main(["canon", "--params", str(src), "--output", str(out)]) == 2
+        assert "positive determinant" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestEval:
@@ -681,14 +718,12 @@ class TestEval:
         # The bound is the noise sigma.
         assert self._chain_mssd(tmp_path, GENERAL) <= 0.001
 
-    @pytest.mark.xfail(strict=True, reason="at eps1 = eps2 every axis permutation maps the "
-                       "unit shape to itself, so fit may return a cyclic relabel of the "
-                       "axes, which eval scores as pose error")
     def test_chain_scores_cyclic_relabel_at_noise_level(self, tmp_path):
         """The fit of this record at seed 0 is canonicalized to scale
-        (0.08, 0.12, 0.0499): the truth's axes relabelled cyclically, so eval
-        reads 0.2255 m. At seed 3 the same chain keeps the labels and reads
-        0.28 mm."""
+        (0.08, 0.12, 0.0499): the truth's axes relabelled cyclically. At
+        eps1 = eps2 every signed axis permutation maps the unit shape to
+        itself, so the cube group scores the relabel at noise level; with
+        order 8 alone eval read 0.2255 m."""
         record = dict(SPHERE, eps=[0.5, 0.5], scale=[0.05, 0.08, 0.12],
                       translation=[0.02, -0.03, 0.8])
         # The bound is the noise sigma.

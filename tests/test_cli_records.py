@@ -3,8 +3,10 @@ files an error names, and a fuzz of records and flags.
 
 A record places the unit-scale shape of its eps in the world by its pose,
 rotation @ P(scale, shear) + translation (`ParamsRecord.pose`). `sample`
-draws that surface and `eval` scores it; `gen` and `canon` read the record
-as a `Superquadric`, which has no shear, and refuse a nonzero one.
+draws that surface and `eval` scores it; `gen` reads the record as a
+`Superquadric`, which has no shear, and refuses a nonzero one. `canon`
+passes a canonical record (eps2 <= 1) through with its shear and refuses a
+nonzero shear only on a record it would fold (eps2 > 1).
 """
 
 import contextlib
@@ -60,6 +62,10 @@ class TestSampleDrawsTheRecordsSurface:
             params = _canon(tmp_path, FOLDED_INPUT)
         else:
             params = _write_json(tmp_path / "s.json", dict(SPHERE, shear=[0.0, 0.0, 1e-9]))
+        if command == "canon":
+            # canon passes a canonical sheared record through; it refuses one it would fold
+            record = json.loads(Path(params).read_text())
+            params = _write_json(tmp_path / "raw.json", dict(record, eps=[record["eps"][0], 1.5]))
         capsys.readouterr()
         out = tmp_path / "out"
         argv = [command, "--params", params, "--output", str(out)]
@@ -292,8 +298,8 @@ class TestRecordFuzz:
         assert "rotation quaternion" in capsys.readouterr().err
         assert not out.exists()
 
-    # At 1.2e308 the fold's ax + ay overflows, so the canonical scale is not finite.
-    @pytest.mark.parametrize("scale, code", [(1e300, 0), (1e308, 0), (1.2e308, 3), (1e-120, 0)])
+    # At 1.2e308 the fold's ax + ay overflows; the canonical scale, their mean, does not.
+    @pytest.mark.parametrize("scale, code", [(1e300, 0), (1e308, 0), (1.2e308, 0), (1e-120, 0)])
     def test_canon_of_huge_record(self, tmp_path, capsys, scale, code):
         record = dict(_BASE_RECORDS[1], eps=[0.5, 1.5], scale=[scale, scale / 2, scale])
         out = tmp_path / "canon.json"
@@ -302,6 +308,15 @@ class TestRecordFuzz:
         assert out.exists() is (code == 0)
         if code == 0:
             assert sk.parse_params(out.read_bytes()).eps == (0.5, 0.5)
+
+    def test_canon_of_subnormal_record_whose_fold_is_singular_exits_3(self, tmp_path, capsys):
+        # The folded pose's entries keep too few bits to have a nonzero determinant.
+        record = dict(FOLDED_INPUT, scale=[1e-310, 3e-310, 1.0])
+        out = tmp_path / "canon.json"
+        assert main(["canon", "--params", _write_json(tmp_path / "tiny.json", record),
+                     "--output", str(out)]) == 3
+        assert "positive determinant" in capsys.readouterr().err
+        assert not out.exists()
 
     @settings(max_examples=400)
     @given(_invocations())

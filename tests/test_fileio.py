@@ -441,6 +441,11 @@ class TestParamsRecord:
         rec = sk.parse_params(sk.write_params(sk.record_from_superquadric(sq)))
         assert rec.shear is None and rec.category_id is None
 
+    def test_null_optional_fields_read_as_absent(self):
+        payload = dict(_VALID, schema_version=1, shear=None, category_id=None)
+        rec = sk.parse_params(json.dumps(payload))
+        assert rec.shear is None and rec.category_id is None
+
     @pytest.mark.parametrize("category_id", [2.5, 3.0, True, "6", -1])
     def test_category_id_must_be_a_nonnegative_integer(self, category_id):
         sq = random_superquadric(np.random.default_rng(4))
@@ -546,23 +551,104 @@ class TestParamsRecord:
                                        ("0.1", 0.0, 0.0), (True, False, False)])
     def test_record_shear_must_be_a_finite_3_vector(self, shear):
         sq = random_superquadric(np.random.default_rng(4))
-        with pytest.raises(ValueError, match="^shear must be a finite 3-vector$"):
+        message = "^field 'shear' must be a 3-vector of finite numbers$"
+        with pytest.raises(ValueError, match=message):
             sk.record_from_superquadric(sq, shear=shear)
+        with pytest.raises(ValueError, match=message):
+            sk.ParamsRecord(**dict(_VALID, shear=shear))
 
-    def test_write_params_refuses_a_non_finite_number(self):
-        # a record built field by field skips every check; its JSON would not parse
-        rec = sk.ParamsRecord(eps=(1.0, 1.0), scale=(0.05, 0.06, 0.07), rotation=(1.0, 0, 0, 0),
-                              translation=(0.0, 0.0, 0.0), shear=(np.nan, 0.0, 0.0))
-        with pytest.raises(ValueError, match="JSON"):
-            sk.write_params(rec)
+    def test_record_refuses_a_non_finite_number(self):
+        with pytest.raises(ValueError, match="^field 'shear' must be a 3-vector of finite"):
+            sk.ParamsRecord(**dict(_VALID, shear=(np.nan, 0.0, 0.0)))
 
     @pytest.mark.parametrize("field, value", [("eps", (5.0, 5.0)), ("scale", (0.05, -0.06, 0.07)),
                                               ("category_id", -3), ("eps", ("1.0", 1.0))])
-    def test_write_params_refuses_what_parse_params_refuses(self, field, value):
-        fields = dict(eps=(1.0, 1.0), scale=(0.05, 0.06, 0.07), rotation=(1.0, 0.0, 0.0, 0.0),
-                      translation=(0.0, 0.0, 0.0))
-        with pytest.raises(ValueError, match="^record cannot be written: "):
-            sk.write_params(sk.ParamsRecord(**{**fields, field: value}))
+    def test_record_refuses_what_parse_params_refuses(self, field, value):
+        # one check, one message: the constructor's is the parse error's
+        with pytest.raises(ValueError) as built:
+            sk.ParamsRecord(**dict(_VALID, **{field: value}))
+        payload = dict(_VALID, schema_version=1, **{field: value})
+        with pytest.raises(sk.ParseError) as parsed:
+            sk.parse_params(json.dumps(payload))
+        assert type(built.value) is ValueError and str(parsed.value) == str(built.value)
+
+    def test_fields_are_stored_as_tuples_of_floats(self):
+        # a list or a float32 field would stay mutable or make json raise TypeError
+        rec = sk.ParamsRecord(eps=[0.5, np.float32(0.25)], scale=np.array([1, 2, 3]),
+                              rotation=[1, 0, 0, 0], translation=(0.0, 0.0, 0.0),
+                              shear=np.zeros(3, np.float32), category_id=np.int16(4))
+        for value in (rec.eps, rec.scale, rec.rotation, rec.translation, rec.shear):
+            assert type(value) is tuple and all(type(v) is float for v in value)
+        assert type(rec.category_id) is int
+        assert sk.parse_params(sk.write_params(rec)).eps == (0.5, 0.25)
+
+
+# Fields of a valid record, for tests that spoil one of them.
+_VALID = dict(eps=(1.0, 1.0), scale=(0.05, 0.06, 0.07), rotation=(1.0, 0.0, 0.0, 0.0),
+              translation=(0.0, 0.0, 0.0))
+
+
+@st.composite
+def _records(draw):
+    """record_from_superquadric of a valid shape, with optional shear and category_id."""
+    exponent = st.floats(sk.EPS_MIN, 2.0)
+    quaternion = (st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4)
+                  .filter(lambda q: np.linalg.norm(q) > 0.1)
+                  .map(lambda q: np.array(q) / np.linalg.norm(q)))
+    sq = sk.Superquadric(draw(exponent), draw(exponent),
+                         draw(st.lists(st.floats(1e-6, 1e6), min_size=3, max_size=3)),
+                         draw(quaternion),
+                         draw(st.lists(st.floats(-10.0, 10.0), min_size=3, max_size=3)))
+    shear = draw(st.none() | st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3))
+    return sk.record_from_superquadric(sq, shear=shear,
+                                       category_id=draw(st.none() | st.integers(0, 10**6)))
+
+
+# Per field, the values that spoil it: any vector entry may be NaN, +-inf, a
+# bool or a string, or the vector may have the wrong length.
+_BAD_ENTRIES = (np.nan, np.inf, -np.inf, True, "0.5")
+_BAD_FIELDS = {
+    "eps": [(0.005, 1.0), (1.0, 2.5)],
+    "scale": [(0.0, 0.06, 0.07), (0.05, -0.06, 0.07)],
+    "rotation": [(2.0, 0.0, 0.0, 0.0)],
+    "translation": [],
+    "shear": [],
+    "category_id": [-1, 2.0, True, "3"],
+}
+
+
+@st.composite
+def _spoiled(draw):
+    """(field, fields of a record with that one field made invalid)."""
+    field = draw(st.sampled_from(sorted(_BAD_FIELDS)))
+    choices = list(_BAD_FIELDS[field])
+    if field != "category_id":
+        good = list(_VALID.get(field, (0.0, 0.0, 0.0)))
+        for entry in _BAD_ENTRIES:
+            choices.append(tuple(good[:1] + [entry] + good[2:]))
+        choices += [tuple(good[:-1]), tuple(good + [0.0])]
+    return field, dict(_VALID, **{field: draw(st.sampled_from(choices))})
+
+
+class TestRecordContract:
+    """A ParamsRecord is checked where it is built, so every record round-trips."""
+
+    @settings(max_examples=300)
+    @given(_records())
+    def test_write_parse_round_trip(self, rec):
+        data = sk.write_params(rec)
+        back = sk.parse_params(data)
+        for name in ("eps", "scale", "rotation", "translation", "shear", "category_id"):
+            assert getattr(back, name) == getattr(rec, name), name
+        assert sk.write_params(back) == data
+
+    @settings(max_examples=200)
+    @given(_spoiled())
+    def test_constructor_refuses_each_bad_field(self, spoiled):
+        field, fields = spoiled
+        with pytest.raises(ValueError) as exc:
+            sk.ParamsRecord(**fields)
+        assert field in str(exc.value), str(exc.value)
 
 
 class TestGenSynthetic:

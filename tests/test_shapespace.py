@@ -18,6 +18,9 @@ from conftest import fps_full_pass
 from sqkit import shapespace
 from sqkit.rotations import rotation_about_z
 
+# The cycle x -> y -> z -> x.
+_CYCLE = np.array([[0.0, 0.0, 1.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+
 try:
     from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
 except ImportError:  # numpy < 2
@@ -282,6 +285,53 @@ class TestSymmetryGroup:
             R = sk.symmetry_group(sk.Superquadric(0.4, eps2, np.array([1.0, 1.0, 2.0]))).rotations
             gaps = _pairwise_gaps(R, R) + np.eye(len(R))
             assert gaps.min() > 1e-9
+
+    @pytest.mark.parametrize("e", [0.1, 0.4, 0.7])
+    def test_equal_exponents_get_the_cube_group(self, e):
+        # |x|^(2/e) + |y|^(2/e) + |z|^(2/e) = 1 is unchanged by every signed
+        # axis permutation: 24 of them have det +1, order 8 first, then the
+        # order-8 group times the cycle x -> y -> z -> x and times its inverse.
+        flips = np.array([np.diag(d) for d in ((1, 1, 1), (1, -1, -1), (-1, 1, -1), (-1, -1, 1))],
+                         dtype=float)
+        quarter = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
+        order8 = np.concatenate([flips, flips @ quarter])
+        cube = np.concatenate([order8, order8 @ _CYCLE, order8 @ _CYCLE.T])
+        group = sk.symmetry_group(sk.Superquadric(e, e, np.array([0.05, 0.08, 0.12])))
+        assert group.rotations.tobytes() == cube.tobytes()
+        assert group is sk.symmetry_group(sk.Superquadric(e, e, np.ones(3)))
+        assert group._gather is not None
+        R = group.rotations
+        products = (R[:, None] @ R[None, :]).reshape(-1, 3, 3)
+        assert _pairwise_gaps(products, R).min(axis=1).max() == 0.0
+        assert (_pairwise_gaps(R, R) + np.eye(24)).min() > 0.5
+        unit = sk.Superquadric(e, e, np.ones(3))
+        template = sk.sample_surface(unit, 512, seed=0)
+        for S in R:
+            npt.assert_array_less(np.abs(sk.inside_outside(unit, template @ S.T) - 1.0), 1e-13)
+
+    @pytest.mark.parametrize("cycle", ["forward", "backward"])
+    def test_exact_cyclic_relabel_scores_zero(self, cycle):
+        # (a, b, c, R) -> (c, a, b, R @ C.T) and (b, c, a, R @ C) place one surface.
+        q = np.array([0.9, 0.3, -0.2, 0.1]) / np.linalg.norm([0.9, 0.3, -0.2, 0.1])
+        gt = sk.Superquadric(0.5, 0.5, np.array([0.05, 0.08, 0.12]), q, np.array([0.02, 0.0, 0.8]))
+        P = _CYCLE.T if cycle == "forward" else _CYCLE
+        est = sk.PoseHypothesis(gt.rotation_matrix @ P @ np.diag(P.T @ gt.scale), gt.translation)
+        pose = sk.record_from_superquadric(gt).pose()
+        grid = sk.default_grid()
+        template = sk.template_points(grid.category(sk.categorize(0.5, 0.5, grid)))
+        assert sk.mssd(est, pose, template, sk.symmetry_group(gt)) <= 1e-9
+        order8 = sk.symmetry_group(sk.Superquadric(0.5, 0.6, np.ones(3)))
+        assert sk.mssd(est, pose, template, order8) > 0.01
+
+    def test_group_choice_follows_the_exponents(self):
+        def size(eps1, eps2, rel_tol=1e-3):
+            sq = sk.Superquadric(eps1, eps2, np.array([0.05, 0.08, 0.12]))
+            return len(sk.symmetry_group(sq, rel_tol).rotations)
+        # revolution whatever eps1, the sphere included; then the cube within rel_tol
+        assert size(0.4, 1.0) == size(1.0, 1.0) == size(0.9995, 0.9995) == 72
+        assert size(0.5, 0.5) == size(0.5, 0.5005) == size(0.5005, 0.5) == 24
+        assert size(0.5, 0.5006) == size(0.5006, 0.5) == 8
+        assert size(0.5, 0.5, 0.0) == 24 and size(0.5, 0.5 + 1e-12, 0.0) == 8
 
     def test_rotations_are_read_only(self):
         group = sk.symmetry_group(sk.Superquadric(0.4, 0.6, np.array([1.0, 2.0, 3.0])))
